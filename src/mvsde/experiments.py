@@ -15,11 +15,10 @@ hidden in code.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .coefficients import Model, lipschitz_audit, load_model
 from .duhamel import solve_density
 from .errors import ConfigError, DomainError
 from .fixed_point import solve_mvsde
-from .measures import Flow, Measure, pooled_grid, resample, to_density
+from .measures import Flow, Measure, pooled_grid, resample, to_density, write_csv
 from .sde_engine import SimConfig, simulate_frozen
 
 KINDS = ("audit", "solve", "regularity", "gradient", "stability", "duhamel")
@@ -100,11 +99,7 @@ def emit_report(report: ExperimentReport, outdir) -> list:
     for s in report.series:
         csv_name = f"series_{s.name}.csv"
         path = os.path.join(outdir, csv_name)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(s.columns)
-            for row in s.rows:
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(path, s.columns, np.array(s.rows, dtype=float).tolist())
         written.append(path)
         series_files.append(csv_name)
         gp_path = os.path.join(outdir, f"plot_{s.name}.gp")
@@ -368,8 +363,7 @@ def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
 
 def _solved_flow(cfg: ExperimentConfig, gamma: Measure, t1: float) -> Flow:
     """Solution flow of the full MVSDE from gamma over [t0, t1]."""
-    sim = SimConfig(cfg.sim.n_particles, cfg.sim.dt, cfg.sim.t0, t1,
-                    cfg.sim.seed, cfg.sim.crn)
+    sim = replace(cfg.sim, t1=t1)
     report = solve_mvsde(cfg.model, gamma, sim, tol=float(cfg.option("tol", 0.05)),
                          audit=False)
     return report.solution
@@ -392,8 +386,7 @@ def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
     k = cfg.model.constants.k
     t1 = float(cfg.times[-1])
     record = np.union1d(cfg.times, [cfg.sim.t0])
-    sim = SimConfig(cfg.sim.n_particles, cfg.sim.dt, cfg.sim.t0, t1,
-                    cfg.sim.seed, True)
+    sim = replace(cfg.sim, t1=t1, crn=True)
 
     flow_mu1 = _solved_flow(cfg, gamma1, t1)
     if gamma2 is gamma1:
@@ -420,7 +413,7 @@ def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
     metadata = {"config": config_to_json(cfg), "w0": w0}
     if w0 == 0.0:
         # Identical initials: distances sit at the decoupled noise floor.
-        sim_b = SimConfig(sim.n_particles, sim.dt, sim.t0, sim.t1, sim.seed + 1, True)
+        sim_b = replace(sim, seed=sim.seed + 1)
         law_b = simulate_frozen(cfg.model, flow_mu1, flow_mu1, gamma1, sim_b,
                                 record_times=record)
         floor = max(
@@ -479,7 +472,7 @@ def run_gradient(cfg: ExperimentConfig) -> ExperimentReport:
     epsilons = [float(e) for e in cfg.option("epsilons", [0.25, 0.5, 1.0])]
     t1 = float(cfg.times[-1])
     record = np.union1d(cfg.times, [cfg.sim.t0])
-    sim = SimConfig(cfg.sim.n_particles, cfg.sim.dt, cfg.sim.t0, t1, cfg.sim.seed, True)
+    sim = replace(cfg.sim, t1=t1, crn=True)
 
     flow_mu = _solved_flow(cfg, cfg.gamma1, t1)
     law1 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma1, sim, record_times=record)
@@ -550,6 +543,8 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
 
     law_base = simulate_frozen(cfg.model, base_flow, base_flow, cfg.gamma1, sim,
                                record_times=nodes)
+    # Lengths of the node segments over [t0, t1], weighting the flow drivers.
+    seg = np.diff(np.append(nodes, sim.t1)) if nodes[-1] < sim.t1 else np.diff(nodes)
 
     drivers = {
         "initial": lambda d: (cfg.gamma1.shift(d * e1), base_flow, base_flow),
@@ -569,7 +564,6 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
             if name == "initial":
                 driver_vals.append(metrics.wasserstein(cfg.gamma1, gamma, k).value)
             elif name == "diffusion_flow":
-                seg = np.diff(np.append(nodes, sim.t1)) if nodes[-1] < sim.t1 else np.diff(nodes)
                 vals = [
                     (metrics.wasserstein(a, b, k).value
                      + metrics.wasserstein_eta(a, b, eta).value) ** 2
@@ -577,7 +571,6 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
                 ]
                 driver_vals.append(math.sqrt(float(np.sum(np.array(vals[: len(seg)]) * seg))))
             else:
-                seg = np.diff(np.append(nodes, sim.t1)) if nodes[-1] < sim.t1 else np.diff(nodes)
                 vals = [
                     metrics.wasserstein(a, b, k).value + shared_grid_tv(a, b, k)
                     for a, b in zip(base_flow.measures, mu_f.measures)
@@ -620,7 +613,7 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
     t_max = max(horizons)
     if mean_field:
         n_flow = min(cfg.sim.n_particles, 20_000)
-        flow_sim = SimConfig(n_flow, cfg.sim.dt, 0.0, t_max, cfg.sim.seed, True)
+        flow_sim = replace(cfg.sim, n_particles=n_flow, t0=0.0, t1=t_max, crn=True)
         flows = solve_mvsde(cfg.model, cfg.gamma1, flow_sim,
                             tol=float(cfg.option("tol_solve", 0.05)), audit=False).solution
     else:
@@ -632,7 +625,7 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
     for hz in horizons:
         grid = solve_density(cfg.model, flows, flows, x0, 0.0, hz,
                              tol=tol, cells=cells)
-        mc_sim = SimConfig(n_mc, cfg.sim.dt, 0.0, hz, cfg.sim.seed + 17, True)
+        mc_sim = replace(cfg.sim, n_particles=n_mc, t0=0.0, t1=hz, seed=cfg.sim.seed + 17, crn=True)
         mc = simulate_frozen(cfg.model, flows, flows, cfg.gamma1, mc_sim,
                              record_times=np.array([0.0, hz]))
         sample = mc.measures[-1].points[:, 0]

@@ -16,7 +16,7 @@ exact transport solvers run; the resample seed is fixed per solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,16 +163,6 @@ def inner_solve(model: Model, gamma: Measure, mu_flow: Flow, cfg: SimConfig,
     return nu, info
 
 
-def phi_map(model: Model, gamma: Measure, mu_flow: Flow, cfg: SimConfig,
-            lam: float, tol: float, metric: _MetricContext | None = None):
-    """Outer map: law flow of the intermediate SDE with drift flow mu.
-
-    The intermediate SDE feeds its own law to the diffusion, so its law flow
-    is exactly the inner fixed point for this mu.
-    """
-    return inner_solve(model, gamma, mu_flow, cfg, lam, tol, metric=metric)
-
-
 def lambda_schedule(constants, audit: AuditReport | None = None,
                     gamma_moment: float = 1.0, escalations: int = 0) -> float:
     """Starting lambda mirroring the layered thresholds with fitted constants 1.
@@ -210,8 +200,7 @@ def estimate_noise_floor(model: Model, gamma: Measure, cfg: SimConfig,
     base = Flow.constant(gamma, nodes)
     flows = []
     for seed_shift in (0, 1):
-        cfg_i = SimConfig(cfg.n_particles, cfg.dt, cfg.t0, cfg.t1,
-                          seed=cfg.seed + 7919 * seed_shift, crn=True)
+        cfg_i = replace(cfg, seed=cfg.seed + 7919 * seed_shift, crn=True)
         flows.append(simulate_frozen(model, base, base, gamma, cfg_i,
                                      record_times=nodes))
     return metric.rho_tilde(flows[0], flows[1])
@@ -249,7 +238,8 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig, tol: float = 0.05,
         strikes = 0
         failed = False
         for _ in range(max_outer):
-            mu_next, info = phi_map(model, gamma, mu, cfg, lam_now, tol_eff, metric=metric)
+            # phi(mu) is the inner fixed point: the intermediate SDE's law drives its sigma.
+            mu_next, info = inner_solve(model, gamma, mu, cfg, lam_now, tol_eff, metric=metric)
             inner_counts.append(info["iterations"])
             inner_infos.append(info)
             d = metric.rho_tilde(mu, mu_next)

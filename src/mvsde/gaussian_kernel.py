@@ -20,7 +20,7 @@ import numpy as np
 
 from .coefficients import Model, diffusion_matrix_batch
 from .errors import AuditError, DomainError, NumericsError, QuadratureError
-from .measures import Flow
+from .measures import Flow, write_csv
 
 QUAD_CELLS = {1: 2**10, 2: 2**8}
 MASS_COVERAGE = 1.0 - 1e-8
@@ -168,19 +168,18 @@ def _quad_grid(cov: FrozenCovariance, center: np.ndarray, cells: int | None):
     return pts, float(np.prod(widths))
 
 
-def _derivative_magnitudes(cov: FrozenCovariance, x: np.ndarray, ys: np.ndarray, i: int):
-    """|grad^i q(x, .)| over rows of ys: |q|, Euclidean |grad q|, Frobenius |hess q|."""
+def _derivative_tensor(cov: FrozenCovariance, x: np.ndarray, ys: np.ndarray, i: int):
+    """grad^i q(x, .) over rows of ys, one flattened tensor per row."""
     q = q_values(cov, x, ys)
     if i == 0:
-        return q
+        return q[:, None]
     diff = ys - x
     sol = np.linalg.solve(cov.a, diff.T).T
     if i == 1:
-        return q * np.linalg.norm(sol, axis=1)
+        return q[:, None] * sol
     ainv = np.linalg.inv(cov.a)
-    u2 = np.sum(sol**2, axis=1)
-    fro2 = u2**2 - 2 * np.sum((sol @ ainv) * sol, axis=1) + np.sum(ainv**2)
-    return q * np.sqrt(np.maximum(fro2, 0.0))
+    outer = sol[:, :, None] * sol[:, None, :] - ainv[None, :, :]
+    return (q[:, None, None] * outer).reshape(ys.shape[0], -1)
 
 
 def moment_integral_g1(cov: FrozenCovariance, i: int, eps: float,
@@ -200,22 +199,9 @@ def moment_integral_g1(cov: FrozenCovariance, i: int, eps: float,
     mass = float(np.sum(q_values(cov, x, ys)) * vol)
     if mass < MASS_COVERAGE:
         raise QuadratureError(f"quadrature window captured mass {mass}, need {MASS_COVERAGE}")
-    mag = _derivative_magnitudes(cov, x, ys, i)
+    mag = np.linalg.norm(_derivative_tensor(cov, x, ys, i), axis=1)
     r = np.linalg.norm(ys - x, axis=1)
     return float(np.sum(mag * r**eps) * vol)
-
-
-def _derivative_tensor(cov: FrozenCovariance, x: np.ndarray, ys: np.ndarray, i: int):
-    q = q_values(cov, x, ys)
-    if i == 0:
-        return q[:, None]
-    diff = ys - x
-    sol = np.linalg.solve(cov.a, diff.T).T
-    if i == 1:
-        return q[:, None] * sol
-    ainv = np.linalg.inv(cov.a)
-    outer = sol[:, :, None] * sol[:, None, :] - ainv[None, :, :]
-    return (q[:, None, None] * outer).reshape(ys.shape[0], -1)
 
 
 def exponent_scan(i: int, eps: float, horizons, variance_ratio: float = 1.1,
@@ -237,13 +223,7 @@ def exponent_scan(i: int, eps: float, horizons, variance_ratio: float = 1.1,
         rows.append((float(dt), float(val), float(val / dt**expo)))
     slope = float(np.polyfit(np.log(horizons), np.log([r[1] for r in rows]), 1)[0])
     if csv_path is not None:
-        import csv as _csv
-
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["t_s", "value", "fitted_c"])
-            for row in rows:
-                writer.writerow([repr(v) for v in row])
+        write_csv(csv_path, ["t_s", "value", "fitted_c"], rows)
     return slope, rows
 
 

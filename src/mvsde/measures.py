@@ -11,6 +11,7 @@ of its inputs (plus an explicit seed), so concurrent use is safe.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,33 @@ DEFAULT_CELLS = {1: 1024, 2: 128}
 # consumers that need a deterministic sub-stream (kept distinct from user
 # seeds so that seed=0 draws differ between contexts).
 _RESAMPLE_STREAM = 0x9E3779B9
+
+
+@contextmanager
+def _opened(path_or_buf, mode: str):
+    """Open a path (UTF-8, no newline translation) or pass an open buffer through."""
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        with open(path_or_buf, mode, newline="", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield path_or_buf
+
+
+def write_csv(path_or_buf, header, rows) -> None:
+    """Write a header and rows of native Python numbers (floats print by ``repr``)."""
+    with _opened(path_or_buf, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path_or_buf):
+    """Read a file written by :func:`write_csv`: (header, float array of rows)."""
+    with _opened(path_or_buf, "r") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [[float(v) for v in row] for row in reader if row]
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def _as_points(points) -> np.ndarray:
@@ -101,39 +129,17 @@ class Measure:
 
     def to_csv(self, path_or_buf) -> None:
         """Write ``w,x1[,x2]`` rows (UTF-8, '.' decimal separator)."""
-        close = False
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            fh = open(path_or_buf, "w", newline="", encoding="utf-8")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["w"] + [f"x{j + 1}" for j in range(self.dim)])
-            for w, row in zip(self.weights, self.points):
-                writer.writerow([repr(float(w))] + [repr(float(c)) for c in row])
-        finally:
-            if close:
-                fh.close()
+        header = ["w"] + [f"x{j + 1}" for j in range(self.dim)]
+        write_csv(path_or_buf, header, np.column_stack([self.weights, self.points]).tolist())
 
     @classmethod
     def from_csv(cls, path_or_buf) -> "Measure":
-        close = False
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            fh = open(path_or_buf, "r", newline="", encoding="utf-8")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[0] != "w":
-                raise DomainError(f"expected header starting with 'w', got {header!r}")
-            rows = [[float(v) for v in row] for row in reader if row]
-        finally:
-            if close:
-                fh.close()
-        data = np.asarray(rows, dtype=float)
+        header, data = read_csv(path_or_buf)
+        if not header or header[0] != "w":
+            raise DomainError(f"expected header starting with 'w', got {header!r}")
+        if abs(data[:, 0].sum() - 1.0) <= WEIGHT_TOL:
+            # Normalized as to_csv writes them; dividing by the float sum again moves bits.
+            return cls(data[:, 1:], data[:, 0], data.shape[1] - 1)
         return cls.from_points(data[:, 1:], data[:, 0])
 
 
@@ -265,39 +271,14 @@ class Density:
 
     def to_csv(self, path_or_buf) -> None:
         """Write ``x1[,x2],value`` rows."""
-        close = False
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            fh = open(path_or_buf, "w", newline="", encoding="utf-8")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(self.dim)] + ["value"])
-            centers = self.grid.centers()
-            for xc, v in zip(centers, self.values.ravel()):
-                writer.writerow([repr(float(c)) for c in xc] + [repr(float(v))])
-        finally:
-            if close:
-                fh.close()
+        header = [f"x{j + 1}" for j in range(self.dim)] + ["value"]
+        rows = np.column_stack([self.grid.centers(), self.values.ravel()]).tolist()
+        write_csv(path_or_buf, header, rows)
 
     @classmethod
     def from_csv(cls, path_or_buf) -> "Density":
-        close = False
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            fh = open(path_or_buf, "r", newline="", encoding="utf-8")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
-            reader = csv.reader(fh)
-            header = next(reader)
-            dim = len(header) - 1
-            rows = [[float(v) for v in row] for row in reader if row]
-        finally:
-            if close:
-                fh.close()
-        data = np.asarray(rows, dtype=float)
+        header, data = read_csv(path_or_buf)
+        dim = len(header) - 1
         axes = [np.unique(data[:, j]) for j in range(dim)]
         shape = tuple(len(a) for a in axes)
         widths = [a[1] - a[0] for a in axes]

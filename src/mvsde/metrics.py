@@ -122,6 +122,19 @@ def ot_lp(m1: Measure, m2: Measure, exponent: float) -> DistanceReport:
     return DistanceReport(value, METHOD_LP, gap)
 
 
+def _subsampled_lp(m1: Measure, m2: Measure, exponent: float) -> DistanceReport:
+    """Exact LP, after subsampling both measures when they exceed the LP budget."""
+    sub = None
+    if m1.n * m2.n > LP_BUDGET:
+        # One shared seed: systematic resampling then picks matching indices
+        # on coupled ensembles, preserving common-random-numbers pairings.
+        sub = ETA_SUBSAMPLE
+        m1 = resample(m1, sub, _SUBSAMPLE_SEED)
+        m2 = resample(m2, sub, _SUBSAMPLE_SEED)
+    rep = ot_lp(m1, m2, exponent)
+    return DistanceReport(rep.value, METHOD_LP, rep.gap, subsample=sub)
+
+
 def wasserstein_eta(m1: Measure, m2: Measure, eta: float) -> DistanceReport:
     """W_eta for eta in (0, 1]: concave metric cost, exact LP.
 
@@ -137,15 +150,7 @@ def wasserstein_eta(m1: Measure, m2: Measure, eta: float) -> DistanceReport:
     if eta == 1.0 and m1.dim == 1:
         # |x-y| is convex as well, so the monotone coupling is exact here.
         return wasserstein_1d(m1, m2, 1.0)
-    sub = None
-    if m1.n * m2.n > LP_BUDGET:
-        # One shared seed: systematic resampling then picks matching indices
-        # on coupled ensembles, preserving common-random-numbers pairings.
-        sub = ETA_SUBSAMPLE
-        m1 = resample(m1, sub, _SUBSAMPLE_SEED)
-        m2 = resample(m2, sub, _SUBSAMPLE_SEED)
-    rep = ot_lp(m1, m2, eta)
-    return DistanceReport(rep.value, METHOD_LP, rep.gap, subsample=sub)
+    return _subsampled_lp(m1, m2, eta)
 
 
 def wasserstein(m1: Measure, m2: Measure, k: float) -> DistanceReport:
@@ -161,13 +166,7 @@ def wasserstein(m1: Measure, m2: Measure, k: float) -> DistanceReport:
         return wasserstein_1d(m1, m2, k)
     if m1 is m2:
         return _zero(METHOD_LP)
-    sub = None
-    if m1.n * m2.n > LP_BUDGET:
-        sub = ETA_SUBSAMPLE
-        m1 = resample(m1, sub, _SUBSAMPLE_SEED)
-        m2 = resample(m2, sub, _SUBSAMPLE_SEED)
-    rep = ot_lp(m1, m2, k)
-    return DistanceReport(rep.value, METHOD_LP, rep.gap, subsample=sub)
+    return _subsampled_lp(m1, m2, k)
 
 
 def _variation_weight(r: np.ndarray, theta: float) -> np.ndarray:
@@ -212,10 +211,6 @@ def weighted_variation_atoms(m1: Measure, m2: Measure, theta: float = 0.0) -> Di
         r = math.sqrt(sum(c * c for c in key))
         val += abs(dw) * (1.0 if theta == 0 else 1.0 + r**theta)
     return DistanceReport(val, METHOD_EXACT_1D, 0.0)
-
-
-def total_variation(d1: Density, d2: Density) -> DistanceReport:
-    return weighted_variation(d1, d2, 0.0)
 
 
 def holder_dual_bound(m1: Measure, m2: Measure, eta: float, n_funcs: int = 200,

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from mvsde.duhamel import remainder_R, remainder_drift_only, solve_density
-from mvsde.errors import DomainError, QuadratureError
+from mvsde.errors import DomainError, NumericsError, QuadratureError
 from mvsde.measures import Flow, Measure
 from mvsde.sde_engine import SimConfig, simulate_frozen
 from mvsde.coefficients import Model
@@ -117,6 +117,36 @@ def test_remainder_drift_only_requires_space_free(space_sigma_model, space_sigma
     with pytest.raises(DomainError):
         remainder_drift_only(space_sigma_model, f, f, space_sigma_grid,
                              lambda z: z, 0.0, 0.25)
+
+
+def test_remainder_test_function_errors_propagate(const_drift_model, const_drift_grid):
+    f = _flow()
+    # A scalar-only test function (TypeError on arrays) is evaluated point by point.
+    vec = remainder_R(const_drift_model, f, f, const_drift_grid, lambda z: z, 0.0, 0.25)
+    pointwise = remainder_R(const_drift_model, f, f, const_drift_grid,
+                            lambda z: float(z), 0.0, 0.25)
+    assert pointwise == vec
+    # Any other exception propagates from the first call, without a retry.
+    calls = []
+
+    def broken(z):
+        calls.append(z)
+        raise RuntimeError("broken test function")
+
+    with pytest.raises(RuntimeError, match="broken test function"):
+        remainder_R(const_drift_model, f, f, const_drift_grid, broken, 0.0, 0.25)
+    assert len(calls) == 1
+
+
+def test_remainder_rejects_non_finite_test_function(const_drift_model, const_drift_grid):
+    f = _flow()
+    with pytest.raises(NumericsError):
+        remainder_R(const_drift_model, f, f, const_drift_grid,
+                    lambda z: np.where(z > 0.5, np.inf, z), 0.0, 0.25)
+    # The point-by-point path is checked too (the comparison is scalar-only).
+    with pytest.raises(NumericsError):
+        remainder_drift_only(const_drift_model, f, f, const_drift_grid,
+                             lambda z: math.nan if z > 0.5 else z, 0.0, 0.25)
 
 
 def test_remainder_trace_term_small_against_one(space_sigma_model, space_sigma_grid):

@@ -11,7 +11,6 @@ from mvsde.fixed_point import (
     gamma_weight,
     inner_solve,
     lambda_schedule,
-    phi_map,
     psi_map,
     solve_mvsde,
     solver_grid,
@@ -141,8 +140,8 @@ def test_phi_map_mu_independent_for_drift_free_models(tanh_model):
     metric = _MetricContext(k=1.0, eta=1.0, lam=4.0)
     mu_a = Flow.constant(gamma, nodes)
     mu_b = Flow.constant(Measure.dirac([5.0]), nodes)
-    fa, _ = phi_map(tanh_model, gamma, mu_a, cfg, 4.0, 0.05, metric=metric)
-    fb, _ = phi_map(tanh_model, gamma, mu_b, cfg, 4.0, 0.05, metric=metric)
+    fa, _ = inner_solve(tanh_model, gamma, mu_a, cfg, 4.0, 0.05, metric=metric)
+    fb, _ = inner_solve(tanh_model, gamma, mu_b, cfg, 4.0, 0.05, metric=metric)
     assert all(np.array_equal(x.points, y.points)
                for x, y in zip(fa.measures, fb.measures))
 
@@ -183,8 +182,8 @@ def test_fixed_point_residual(tanh_model):
     cfg = _cfg(n=10_000, seed=13)
     rep = solve_mvsde(tanh_model, Measure.dirac([0.0]), cfg, tol=0.05)
     metric = _MetricContext(k=1.0, eta=1.0, lam=rep.lambda_used)
-    again, _ = phi_map(tanh_model, Measure.dirac([0.0]), rep.solution, cfg,
-                       rep.lambda_used, rep.tol_used, metric=metric)
+    again, _ = inner_solve(tanh_model, Measure.dirac([0.0]), rep.solution, cfg,
+                           rep.lambda_used, rep.tol_used, metric=metric)
     d = metric.rho_tilde(rep.solution, again)
     assert d <= 2 * rep.tol_used + rep.noise_floor
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mvsde.errors import DomainError, NumericsError
@@ -201,3 +203,47 @@ def test_pooled_grid_shared():
     d2 = to_density(m2, grid=grid, bandwidth=bw)
     assert d1.grid.same_as(d2.grid)
     assert not d1.coverage_warning and not d2.coverage_warning
+
+
+_finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def _weighted_points(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 20))
+    pts = draw(st.lists(st.lists(_finite, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    w = draw(st.lists(_positive, min_size=n, max_size=n))
+    return np.array(pts), np.array(w)
+
+
+@settings(deadline=None)
+@given(_weighted_points())
+def test_measure_csv_roundtrip_bit_identical(data):
+    pts, w = data
+    m = Measure.from_points(pts, w)
+    buf = io.StringIO()
+    m.to_csv(buf)
+    buf.seek(0)
+    back = Measure.from_csv(buf)
+    assert back.points.tobytes() == m.points.tobytes()
+    assert back.weights.tobytes() == m.weights.tobytes()
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_density_csv_roundtrip_same_grid(data):
+    dim = data.draw(st.sampled_from([1, 2]))
+    lo = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=dim, max_size=dim)))
+    span = np.array(data.draw(st.lists(st.floats(0.1, 10), min_size=dim, max_size=dim)))
+    shape = tuple(data.draw(st.lists(st.integers(2, 40), min_size=dim, max_size=dim)))
+    vals = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=int(np.prod(shape)),
+                                       max_size=int(np.prod(shape))))).reshape(shape)
+    dens = Density(GridSpec(lo, lo + span, shape), vals, normalized=False)
+    buf = io.StringIO()
+    dens.to_csv(buf)
+    buf.seek(0)
+    back = Density.from_csv(buf)
+    assert back.grid.same_as(dens.grid, tol=1e-9)
+    assert back.values.tobytes() == dens.values.tobytes()
