@@ -22,13 +22,26 @@ JSON schema (see ``Model.from_json``)::
             | {"op": "lincomb", "const": float,
                "terms": [{"coef": float, "arg": <expr>}, ...]}
             | {"op": "integral", "arg": <expr>}    # arg is a function of y only
+
+Loading rejects a coord index outside [0, dim), a non-finite or non-numeric
+number, a non-object node or term, and a nested integral, with a
+:class:`ConfigError` carrying the JSON pointer of the offending field.
+
+Each node lists its sub-expressions in x as ``children``; the base class
+derives ``uses_space``, ``uses_measure``, ``integrals`` and ``lipschitz`` from
+one walk over them (abs/tanh/arctan/min1 are 1-Lipschitz outer maps).  Nodes
+override only where they differ: ``Coord`` and ``Norm`` read the state with
+constant 1, ``LinComb`` weights its children's constants by |coef|, and
+``Integral`` reads the measure and is a leaf, its argument being a function
+of the integration variable, not of x.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,32 +58,33 @@ _BSUP_SLACK = 1e-9
 
 
 class Expr:
-    """Base class for composition nodes; subclasses are immutable."""
+    """Base class for composition nodes; subclasses are immutable.
+
+    The structural queries walk ``children`` (see the module docstring).
+    """
+
+    children = ()
 
     def evaluate(self, t, points, measure):
         """Vectorized value over ``points`` of shape (n, d); returns (n,)."""
         raise NotImplementedError
 
-    def bounds(self):
-        """Conservative (lo, hi) interval of the node's range."""
+    def to_json(self) -> dict:
         raise NotImplementedError
 
     def lipschitz(self) -> float:
         """Upper bound on the space-Lipschitz constant (may be inf)."""
-        raise NotImplementedError
+        return sum((c.lipschitz() for c in self.children), 0.0)
 
     def uses_space(self) -> bool:
-        raise NotImplementedError
+        return any(c.uses_space() for c in self.children)
 
     def uses_measure(self) -> bool:
-        raise NotImplementedError
+        return any(c.uses_measure() for c in self.children)
 
     def integrals(self) -> list:
         """All integral-functional nodes in the tree."""
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
+        return [i for c in self.children for i in c.integrals()]
 
 
 @dataclass(frozen=True)
@@ -79,21 +93,6 @@ class Const(Expr):
 
     def evaluate(self, t, points, measure):
         return np.full(points.shape[0], float(self.value))
-
-    def bounds(self):
-        return (self.value, self.value)
-
-    def lipschitz(self):
-        return 0.0
-
-    def uses_space(self):
-        return False
-
-    def uses_measure(self):
-        return False
-
-    def integrals(self):
-        return []
 
     def to_json(self):
         return {"op": "const", "value": self.value}
@@ -104,36 +103,12 @@ class TimeVar(Expr):
     def evaluate(self, t, points, measure):
         return np.full(points.shape[0], float(t))
 
-    def bounds(self):
-        return (0.0, math.inf)
-
-    def lipschitz(self):
-        return 0.0
-
-    def uses_space(self):
-        return False
-
-    def uses_measure(self):
-        return False
-
-    def integrals(self):
-        return []
-
     def to_json(self):
         return {"op": "time"}
 
 
-@dataclass(frozen=True)
-class Coord(Expr):
-    index: int
-
-    def evaluate(self, t, points, measure):
-        if self.index >= points.shape[1]:
-            raise DomainError(f"coordinate index {self.index} out of range")
-        return points[:, self.index].astype(float)
-
-    def bounds(self):
-        return (-math.inf, math.inf)
+class _StateLeaf(Expr):
+    """A 1-Lipschitz read of the state variable."""
 
     def lipschitz(self):
         return 1.0
@@ -141,114 +116,48 @@ class Coord(Expr):
     def uses_space(self):
         return True
 
-    def uses_measure(self):
-        return False
 
-    def integrals(self):
-        return []
+@dataclass(frozen=True)
+class Coord(_StateLeaf):
+    index: int
+
+    def evaluate(self, t, points, measure):
+        return points[:, self.index].astype(float)
 
     def to_json(self):
         return {"op": "coord", "index": self.index}
 
 
 @dataclass(frozen=True)
-class Norm(Expr):
+class Norm(_StateLeaf):
     def evaluate(self, t, points, measure):
         return np.linalg.norm(points, axis=1)
-
-    def bounds(self):
-        return (0.0, math.inf)
-
-    def lipschitz(self):
-        return 1.0
-
-    def uses_space(self):
-        return True
-
-    def uses_measure(self):
-        return False
-
-    def integrals(self):
-        return []
 
     def to_json(self):
         return {"op": "norm"}
 
 
-def _abs_interval(lo, hi):
-    if lo <= 0.0 <= hi:
-        return (0.0, max(abs(lo), abs(hi)))
-    return (min(abs(lo), abs(hi)), max(abs(lo), abs(hi)))
+# min1 with abs or norm inside builds bounded 1-Lipschitz functionals.
+_UNARY = {"abs": np.abs, "tanh": np.tanh, "arctan": np.arctan,
+          "min1": lambda v: np.minimum(v, 1.0)}
 
 
 @dataclass(frozen=True)
 class Unary(Expr):
+    """A 1-Lipschitz outer map from ``_UNARY`` applied to ``arg``."""
+
+    op: str
     arg: Expr
 
-    _OP = ""
+    @property
+    def children(self):
+        return (self.arg,)
 
-    def uses_space(self):
-        return self.arg.uses_space()
-
-    def uses_measure(self):
-        return self.arg.uses_measure()
-
-    def integrals(self):
-        return self.arg.integrals()
-
-    def lipschitz(self):
-        # abs/tanh/arctan/min-with-1 are all 1-Lipschitz outer maps.
-        return self.arg.lipschitz()
+    def evaluate(self, t, points, measure):
+        return _UNARY[self.op](self.arg.evaluate(t, points, measure))
 
     def to_json(self):
-        return {"op": self._OP, "arg": self.arg.to_json()}
-
-
-class Abs(Unary):
-    _OP = "abs"
-
-    def evaluate(self, t, points, measure):
-        return np.abs(self.arg.evaluate(t, points, measure))
-
-    def bounds(self):
-        return _abs_interval(*self.arg.bounds())
-
-
-class Tanh(Unary):
-    _OP = "tanh"
-
-    def evaluate(self, t, points, measure):
-        return np.tanh(self.arg.evaluate(t, points, measure))
-
-    def bounds(self):
-        lo, hi = self.arg.bounds()
-        return (math.tanh(lo) if lo > -math.inf else -1.0,
-                math.tanh(hi) if hi < math.inf else 1.0)
-
-
-class Arctan(Unary):
-    _OP = "arctan"
-
-    def evaluate(self, t, points, measure):
-        return np.arctan(self.arg.evaluate(t, points, measure))
-
-    def bounds(self):
-        lo, hi = self.arg.bounds()
-        return (math.atan(lo) if lo > -math.inf else -math.pi / 2,
-                math.atan(hi) if hi < math.inf else math.pi / 2)
-
-
-class Min1(Unary):
-    """min(arg, 1) clamp; with Abs or Norm inside it builds bounded 1-Lipschitz functionals."""
-
-    _OP = "min1"
-
-    def evaluate(self, t, points, measure):
-        return np.minimum(self.arg.evaluate(t, points, measure), 1.0)
-
-    def bounds(self):
-        lo, hi = self.arg.bounds()
-        return (min(lo, 1.0), min(hi, 1.0))
+        return {"op": self.op, "arg": self.arg.to_json()}
 
 
 @dataclass(frozen=True)
@@ -256,35 +165,18 @@ class LinComb(Expr):
     const: float
     terms: tuple  # of (coef, Expr)
 
+    @property
+    def children(self):
+        return tuple(n for _, n in self.terms)
+
     def evaluate(self, t, points, measure):
         out = np.full(points.shape[0], float(self.const))
         for coef, node in self.terms:
             out = out + coef * node.evaluate(t, points, measure)
         return out
 
-    def bounds(self):
-        lo = hi = float(self.const)
-        for coef, node in self.terms:
-            a, b = node.bounds()
-            pa, pb = coef * a, coef * b
-            lo += min(pa, pb)
-            hi += max(pa, pb)
-        return (lo, hi)
-
     def lipschitz(self):
         return sum(abs(c) * n.lipschitz() for c, n in self.terms)
-
-    def uses_space(self):
-        return any(n.uses_space() for _, n in self.terms)
-
-    def uses_measure(self):
-        return any(n.uses_measure() for _, n in self.terms)
-
-    def integrals(self):
-        out = []
-        for _, n in self.terms:
-            out.extend(n.integrals())
-        return out
 
     def to_json(self):
         return {
@@ -296,13 +188,12 @@ class LinComb(Expr):
 
 @dataclass(frozen=True)
 class Integral(Expr):
-    """Mean-field functional mu(psi); psi is a function of the state variable only."""
+    """Mean-field functional mu(psi); a leaf to the walk, constant in x.
+
+    ``arg`` (psi) is a function of the integration variable only.
+    """
 
     arg: Expr
-
-    def __post_init__(self):
-        if self.arg.uses_measure():
-            raise ConfigError("integral functionals must not nest", "/integral/arg")
 
     def evaluate(self, t, points, measure):
         if measure is None:
@@ -315,15 +206,6 @@ class Integral(Expr):
             )
         return np.full(points.shape[0], v)
 
-    def bounds(self):
-        return self.arg.bounds()
-
-    def lipschitz(self):
-        return 0.0  # constant in the space variable
-
-    def uses_space(self):
-        return False
-
     def uses_measure(self):
         return True
 
@@ -334,46 +216,75 @@ class Integral(Expr):
         return {"op": "integral", "arg": self.arg.to_json()}
 
 
-_UNARY = {"abs": Abs, "tanh": Tanh, "arctan": Arctan, "min1": Min1}
+def _number(value, pointer) -> float:
+    """``value`` as a finite float, or a :class:`ConfigError` at ``pointer``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected a number, got {value!r}", pointer) from None
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {value!r}", pointer)
+    return x
 
 
-def expr_from_json(spec, pointer="") -> Expr:
+def _typed(value, kind, pointer):
+    """``value`` if it is a JSON object (``dict``) or array (``list``)."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"expected a JSON {'object' if kind is dict else 'list'}, "
+                          f"got {value!r}", pointer)
+    return value
+
+
+def expr_from_json(spec, dim: int, pointer="") -> Expr:
+    """Parse one expression node over a ``dim``-dimensional state.
+
+    Every error names the offending node by its JSON pointer.
+    """
     if not isinstance(spec, dict) or "op" not in spec:
         raise ConfigError("expression node must be an object with an 'op' field", pointer)
     op = spec["op"]
+
+    def required(key):
+        if key not in spec:
+            raise ConfigError(f"{op} node needs {key!r}", f"{pointer}/{key}")
+        return spec[key]
+
     if op == "const":
-        if "value" not in spec:
-            raise ConfigError("const node needs 'value'", pointer + "/value")
-        return Const(float(spec["value"]))
+        return Const(_number(required("value"), pointer + "/value"))
     if op == "time":
         return TimeVar()
     if op == "coord":
-        if "index" not in spec:
-            raise ConfigError("coord node needs 'index'", pointer + "/index")
-        return Coord(int(spec["index"]))
+        index = required("index")
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < dim:
+            raise ConfigError(f"coord index must be an integer in [0, {dim}), got {index!r}",
+                              pointer + "/index")
+        return Coord(index)
     if op == "norm":
         return Norm()
     if op in _UNARY:
-        if "arg" not in spec:
-            raise ConfigError(f"{op} node needs 'arg'", pointer + "/arg")
-        return _UNARY[op](expr_from_json(spec["arg"], pointer + "/arg"))
+        return Unary(op, expr_from_json(required("arg"), dim, pointer + "/arg"))
     if op == "lincomb":
         terms = []
-        for i, term in enumerate(spec.get("terms", [])):
+        for i, term in enumerate(_typed(spec.get("terms", []), list, pointer + "/terms")):
             tp = f"{pointer}/terms/{i}"
-            if "coef" not in term or "arg" not in term:
-                raise ConfigError("lincomb terms need 'coef' and 'arg'", tp)
-            terms.append((float(term["coef"]), expr_from_json(term["arg"], tp + "/arg")))
-        return LinComb(float(spec.get("const", 0.0)), tuple(terms))
+            if not isinstance(term, dict) or "coef" not in term or "arg" not in term:
+                raise ConfigError("lincomb terms must be objects with 'coef' and 'arg'", tp)
+            terms.append((_number(term["coef"], tp + "/coef"),
+                          expr_from_json(term["arg"], dim, tp + "/arg")))
+        return LinComb(_number(spec.get("const", 0.0), pointer + "/const"), tuple(terms))
     if op == "integral":
-        if "arg" not in spec:
-            raise ConfigError("integral node needs 'arg'", pointer + "/arg")
-        return Integral(expr_from_json(spec["arg"], pointer + "/arg"))
+        arg = expr_from_json(required("arg"), dim, pointer + "/arg")
+        if arg.uses_measure():
+            raise ConfigError("integral functionals must not nest", pointer + "/arg")
+        return Integral(arg)
     raise ConfigError(f"unknown expression op {op!r}", pointer + "/op")
 
 
 # ---------------------------------------------------------------------------
 # Model
+
+
+_CONSTANT_KEYS = ("K", "k", "eta", "beta", "b_sup", "grad_sigma_bound")
 
 
 @dataclass(frozen=True)
@@ -400,10 +311,7 @@ class ModelConstants:
             raise ConfigError("b_sup and grad_sigma_bound must be nonnegative", "/constants")
 
     def to_json(self):
-        return {
-            "K": self.K, "k": self.k, "eta": self.eta, "beta": self.beta,
-            "b_sup": self.b_sup, "grad_sigma_bound": self.grad_sigma_bound,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -479,28 +387,34 @@ class Model:
 
     @classmethod
     def from_json(cls, spec: dict) -> "Model":
+        """Parse and validate a model spec; errors carry a JSON pointer."""
+        _typed(spec, dict, "")
         for key in ("dim", "drift", "diffusion", "constants"):
             if key not in spec:
                 raise ConfigError(f"missing required field {key!r}", "/" + key)
-        consts = spec["constants"]
-        for key in ("K", "k", "eta", "beta", "b_sup", "grad_sigma_bound"):
+        dim = spec["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ConfigError(f"dim must be an integer >= 1, got {dim!r}", "/dim")
+        consts = _typed(spec["constants"], dict, "/constants")
+        for key in _CONSTANT_KEYS:
             if key not in consts:
                 raise ConfigError(f"missing constant {key!r}", "/constants/" + key)
         drift = tuple(
-            expr_from_json(node, f"/drift/{i}") for i, node in enumerate(spec["drift"])
+            expr_from_json(node, dim, f"/drift/{i}")
+            for i, node in enumerate(_typed(spec["drift"], list, "/drift"))
         )
-        diff_spec = spec["diffusion"]
+        diff_spec = _typed(spec["diffusion"], dict, "/diffusion")
         exprs = tuple(
-            expr_from_json(node, f"/diffusion/exprs/{i}")
-            for i, node in enumerate(diff_spec.get("exprs", []))
+            expr_from_json(node, dim, f"/diffusion/exprs/{i}")
+            for i, node in enumerate(_typed(diff_spec.get("exprs", []), list, "/diffusion/exprs"))
         )
         return cls(
             name=str(spec.get("name", "model")),
-            dim=int(spec["dim"]),
+            dim=dim,
             drift=drift,
             diffusion=Diffusion(diff_spec.get("kind", "scalar"), exprs),
-            constants=ModelConstants(**{k: float(consts[k]) for k in
-                                        ("K", "k", "eta", "beta", "b_sup", "grad_sigma_bound")}),
+            constants=ModelConstants(**{k: _number(consts[k], "/constants/" + k)
+                                        for k in _CONSTANT_KEYS}),
         )
 
 
@@ -538,9 +452,9 @@ def drift_batch(model: Model, t: float, points: np.ndarray, m: Measure) -> np.nd
 def sigma_batch(model: Model, t: float, points: np.ndarray, m: Measure) -> np.ndarray:
     """Diffusion factors at every row of ``points``.
 
-    Returns shape (n,) for a scalar diffusion and (n, d) for a diagonal one.
-    Raises :class:`AuditError` when the spectrum of sigma sigma* leaves
-    [1/K, K].
+    Returns shape (n, 1) for a scalar diffusion and (n, d) for a diagonal
+    one, so the result broadcasts against (n, d) noise.  Raises
+    :class:`AuditError` when the spectrum of sigma sigma* leaves [1/K, K].
     """
     points = np.asarray(points, dtype=float)
     K = model.constants.K
@@ -556,7 +470,7 @@ def sigma_batch(model: Model, t: float, points: np.ndarray, m: Measure) -> np.nd
             f"spectrum of sigma*sigma^T in [{lo:.6g}, {hi:.6g}] leaves "
             f"[1/K, K] = [{1.0 / K:.6g}, {K:.6g}] at t={t}"
         )
-    return vals[:, 0] if model.diffusion.kind == "scalar" else vals
+    return vals
 
 
 def eval_drift(model: Model, t: float, x, m: Measure) -> np.ndarray:
@@ -568,18 +482,12 @@ def eval_drift(model: Model, t: float, x, m: Measure) -> np.ndarray:
 def eval_sigma(model: Model, t: float, x, m: Measure) -> np.ndarray:
     """sigma_t(x, m) as a d x d matrix (scalar and diagonal specs embed into d x d)."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    s = sigma_batch(model, t, x, m)
-    if model.diffusion.kind == "scalar":
-        return float(s[0]) * np.eye(model.dim)
-    return np.diag(s[0])
+    return sigma_batch(model, t, x, m)[0] * np.eye(model.dim)
 
 
 def diffusion_matrix_batch(model: Model, t: float, points: np.ndarray, m: Measure) -> np.ndarray:
     """sigma sigma* diagonal entries at every row; returns (n, d)."""
-    s = sigma_batch(model, t, points, m)
-    if model.diffusion.kind == "scalar":
-        return np.repeat(s[:, None] ** 2, model.dim, axis=1)
-    return s**2
+    return sigma_batch(model, t, points, m) ** 2 * np.ones(model.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -602,20 +510,7 @@ class AuditReport:
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "ratios": self.ratios,
-            "ellipticity": list(self.ellipticity),
-            "b_max": self.b_max,
-            "declared_K": self.declared_K,
-            "flags": self.flags,
-            "condition_i": self.condition_i,
-            "condition_ii": self.condition_ii,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        return dict(dataclasses.asdict(self), ellipticity=list(self.ellipticity))
 
 
 def _random_measure(rng, dim: int, n_atoms: int = 8) -> Measure:
@@ -654,7 +549,7 @@ def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
     b_max = 0.0
 
     def _sigma_vec(t, x, mu):
-        return np.atleast_1d(sigma_batch(model, t, x.reshape(1, -1), mu)[0])
+        return sigma_batch(model, t, x.reshape(1, -1), mu)[0]
 
     eval_failure = None
     for i in range(n_samples):

@@ -36,6 +36,7 @@ from scipy.signal import fftconvolve
 
 from .coefficients import Model, diffusion_matrix_batch, drift_batch
 from .errors import ConvergenceError, DomainError, NumericsError, QuadratureError
+from .gaussian_kernel import variance_profile
 from .measures import Flow, write_csv
 
 MAX_PICARD_ITER = 50
@@ -104,27 +105,6 @@ def _require_1d_scalar(model: Model) -> None:
 def _graded_times(s: float, t: float, nodes: int) -> np.ndarray:
     js = np.arange(nodes - 1, -1, -1, dtype=float)
     return t - (t - s) * (js / nodes) ** 2
-
-
-def _variance_profile(model: Model, flow: Flow, zs: np.ndarray, s: float,
-                      times: np.ndarray, substeps: int = 64):
-    """Cumulative integral of sigma^2(z, nu_u) from s, per z, at [s] + times."""
-    t_end = float(times[-1])
-    inner = flow.times[(flow.times > s) & (flow.times < t_end)]
-    knots = np.unique(np.concatenate([[s], times, inner]))
-    zcol = zs[:, None]
-    acc = np.zeros(len(zs))
-    table = {float(s): acc.copy()}
-    for a0, a1 in zip(knots[:-1], knots[1:]):
-        nu = flow.at(a0)
-        n_sub = max(1, int(math.ceil(substeps * (a1 - a0) / (t_end - s))))
-        h = (a1 - a0) / n_sub
-        mids = a0 + (np.arange(n_sub) + 0.5) * h
-        for u in mids:
-            acc = acc + diffusion_matrix_batch(model, float(u), zcol, nu)[:, 0] * h
-        table[float(a1)] = acc.copy()
-    rows = [table[float(s)]] + [table[float(ti)] for ti in times]
-    return np.vstack(rows), knots
 
 
 def _coefficient_tables(model: Model, mu_flow: Flow, nu_flow: Flow,
@@ -196,7 +176,7 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
     times = _graded_times(s, t, time_nodes)
     knot_times = np.concatenate([[s], times])
 
-    A, _ = _variance_profile(model, nu_flow, centers, s, times)
+    A = variance_profile(model, nu_flow, centers[:, None], s, times)[:, :, 0]
     b_cells, b_x0, a_cells, a_x0 = _coefficient_tables(
         model, mu_flow, nu_flow, centers, x0, knot_times
     )
@@ -315,7 +295,7 @@ def _remainder_quadrature(model, mu_flow, nu_flow, p_table, f_cells, s, t,
     prof_times = np.concatenate([[s], times[times <= t + 1e-15]])
     if prof_times[-1] < t - 1e-15:
         prof_times = np.append(prof_times, t)
-    A_full, _ = _variance_profile(model, nu_flow, centers, s, prof_times[1:])
+    A_full = variance_profile(model, nu_flow, centers[:, None], s, prof_times[1:])[:, :, 0]
 
     has_drift = model.constants.b_sup > 0
     dev_ec = edges[None, :] - centers[:, None]   # rows: y (centers), cols: edges in z

@@ -63,41 +63,55 @@ class FrozenCovariance:
         return self.t - self.s
 
 
+def variance_profile(model: Model, flow: Flow, points, s: float, times,
+                     substeps: int = 64) -> np.ndarray:
+    """Cumulative time integral of (sigma sigma*)(z, nu_u) from s, per row z of ``points``.
+
+    Composite midpoint on the union of ``times`` and the flow nodes: the
+    flow is piecewise constant between nodes, so subdividing each segment
+    (``substeps`` panels across [s, times[-1]]) leaves only the explicit
+    time dependence of sigma to the midpoint rule.  Returns the diagonal of
+    the integral with shape (1 + len(times), n, d): zeros at s, then one
+    slice per entry of ``times``.
+    """
+    points = np.asarray(points, dtype=float)
+    times = np.asarray(times, dtype=float)
+    t_end = float(times[-1])
+    inner = flow.times[(flow.times > s) & (flow.times < t_end)]
+    knots = np.unique(np.concatenate([[s], times, inner]))
+    acc = np.zeros((points.shape[0], model.dim))
+    table = {float(s): acc}
+    for a0, a1 in zip(knots[:-1], knots[1:]):
+        nu = flow.at(a0)
+        n_sub = max(1, int(math.ceil(substeps * (a1 - a0) / (t_end - s))))
+        h = (a1 - a0) / n_sub
+        for u in a0 + (np.arange(n_sub) + 0.5) * h:
+            acc = acc + diffusion_matrix_batch(model, float(u), points, nu) * h
+        table[float(a1)] = acc
+    return np.stack([table[float(s)]] + [table[float(ti)] for ti in times])
+
+
 def frozen_covariance(model: Model, flow: Flow, z, s: float, t: float,
                       substeps: int = 64, flow_id: str = "") -> FrozenCovariance:
-    """Time quadrature of (sigma sigma*)(z, nu_u) over [s, t].
+    """Time quadrature of (sigma sigma*)(z, nu_u) over [s, t] by :func:`variance_profile`.
 
-    Composite midpoint on the flow grid: the flow is piecewise constant
-    between nodes, so subdividing each segment (``substeps`` panels across
-    [s, t]) leaves only the explicit time dependence of sigma to the
-    midpoint rule.  The result must have eigenvalues in
-    [(t-s)/K, (t-s) K] by the declared ellipticity.
+    The result must have eigenvalues in [(t-s)/K, (t-s) K] by the declared
+    ellipticity.
     """
     if s >= t:
         raise DomainError(f"need s < t, got s={s}, t={t}")
     if not flow.covers(s, t):
         raise DomainError(f"flow on [{flow.times[0]}, {flow.times[-1]}] does not cover [{s}, {t}]")
     z = np.asarray(z, dtype=float).ravel()
-    knots = np.unique(np.concatenate([[s], flow.times[(flow.times > s) & (flow.times < t)], [t]]))
-    diag = np.zeros(model.dim)
-    zrow = z.reshape(1, -1)
-    for a0, a1 in zip(knots[:-1], knots[1:]):
-        nu = flow.at(a0)
-        n_sub = max(1, int(math.ceil(substeps * (a1 - a0) / (t - s))))
-        h = (a1 - a0) / n_sub
-        mids = a0 + (np.arange(n_sub) + 0.5) * h
-        for u in mids:
-            diag += diffusion_matrix_batch(model, float(u), zrow, nu)[0] * h
-    a = np.diag(diag)
+    eigs = variance_profile(model, flow, z.reshape(1, -1), s, [t], substeps)[-1, 0]
     K = model.constants.K
-    eigs = np.diag(a)
     lo, hi = (t - s) / K, (t - s) * K
     if eigs.min() < lo * (1 - _EIG_SLACK) - _EIG_SLACK or eigs.max() > hi * (1 + _EIG_SLACK) + _EIG_SLACK:
         raise AuditError(
             f"frozen covariance spectrum [{eigs.min():.6g}, {eigs.max():.6g}] leaves "
             f"[(t-s)/K, (t-s)K] = [{lo:.6g}, {hi:.6g}]"
         )
-    return FrozenCovariance(a, s, t, z, flow_id=flow_id)
+    return FrozenCovariance(np.diag(eigs), s, t, z, flow_id=flow_id)
 
 
 def q_density(cov: FrozenCovariance, x, y) -> float:

@@ -136,7 +136,7 @@ def simulate_frozen(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
         h = t_next - t
         s = sigma_batch(model, t, X, nu_flow.at(t))
         dw = _step_noise(cfg.seed, extra, step, X.shape) * math.sqrt(h)
-        noise = s[:, None] * dw if model.diffusion.kind == "scalar" else s * dw
+        noise = s * dw
         if has_drift:
             X = X + drift_batch(model, t, X, mu_flow.at(t)) * h + noise
         else:

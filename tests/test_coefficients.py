@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvsde import metrics
+from mvsde import cli, metrics
 from mvsde.coefficients import (
     Model,
+    drift_batch,
     eval_drift,
     eval_sigma,
     lipschitz_audit,
     load_model,
+    sigma_batch,
 )
 from mvsde.errors import AuditError, ConfigError
 from mvsde.measures import Measure
@@ -161,3 +165,179 @@ def test_eval_determinism(mixed_model):
     s1 = eval_sigma(mixed_model, 0.2, x, mu)
     s2 = eval_sigma(mixed_model, 0.2, x, mu)
     assert np.array_equal(s1, s2)
+
+
+# ---------------------------------------------------------------------------
+# Load-time validation: every bad number or node fails with a JSON pointer
+
+
+_CONSTANTS = {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 1.0,
+              "grad_sigma_bound": 0.0}
+
+
+def _spec(drift, constants=None, dim=1):
+    return {"name": "probe", "dim": dim, "drift": [drift] * dim,
+            "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.0}]},
+            "constants": dict(_CONSTANTS, **(constants or {}))}
+
+
+def _pointer(spec):
+    with pytest.raises(ConfigError) as err:
+        Model.from_json(spec)
+    return err.value.pointer
+
+
+def test_coord_negative_index_rejected():
+    assert _pointer(_spec({"op": "coord", "index": -1})) == "/drift/0/index"
+
+
+def test_coord_index_beyond_dim_rejected():
+    tanh_of = {"op": "tanh", "arg": {"op": "coord", "index": 2}}
+    assert _pointer(_spec(tanh_of, dim=2)) == "/drift/0/arg/index"
+
+
+@pytest.mark.parametrize("drift, constants, pointer", [
+    ({"op": "const", "value": "abc"}, None, "/drift/0/value"),
+    ({"op": "const", "value": 0.5}, {"b_sup": "abc"}, "/constants/b_sup"),
+    ({"op": "lincomb", "const": [], "terms": []}, None, "/drift/0/const"),
+])
+def test_non_numeric_values_rejected(drift, constants, pointer):
+    assert _pointer(_spec(drift, constants)) == pointer
+
+
+def test_lincomb_term_must_be_object():
+    spec = _spec({"op": "lincomb", "const": 0.0, "terms": [1.5]})
+    assert _pointer(spec) == "/drift/0/terms/0"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("drift, constants, pointer", [
+    ({"op": "const", "value": "BAD"}, None, "/drift/0/value"),
+    ({"op": "lincomb", "const": "BAD", "terms": []}, None, "/drift/0/const"),
+    ({"op": "lincomb", "const": 0.0,
+      "terms": [{"coef": "BAD", "arg": {"op": "coord", "index": 0}}]}, None,
+     "/drift/0/terms/0/coef"),
+    ({"op": "const", "value": 0.5}, {"b_sup": "BAD"}, "/constants/b_sup"),
+    ({"op": "const", "value": 0.5}, {"k": "BAD"}, "/constants/k"),
+    ({"op": "const", "value": 0.5}, {"grad_sigma_bound": "BAD"},
+     "/constants/grad_sigma_bound"),
+])
+def test_non_finite_numbers_rejected(bad, drift, constants, pointer):
+    spec = json.loads(json.dumps(_spec(drift, constants)).replace('"BAD"', json.dumps(bad)))
+    assert _pointer(spec) == pointer
+
+
+def test_integral_nesting_pointer_names_the_node():
+    nested = {"op": "integral", "arg": {"op": "integral", "arg": {"op": "coord", "index": 0}}}
+    spec = _spec({"op": "lincomb", "const": 0.0, "terms": [{"coef": 0.5, "arg": nested}]})
+    assert _pointer(spec) == "/drift/0/terms/0/arg/arg"
+
+
+def test_cli_reports_bad_model_number_with_pointer(tmp_path, capsys):
+    (tmp_path / "model.json").write_text(json.dumps(_spec({"op": "const", "value": "abc"})))
+    cfg = tmp_path / "audit.json"
+    cfg.write_text(json.dumps({"kind": "audit", "model": "model.json", "sim": {"seed": 0}}))
+    rc = cli.main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: /drift/0/value:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Property test: round trip, structural flags and evaluation over the grammar
+
+
+_coefs = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def _exprs(leaves):
+    def grow(children):
+        unary = st.builds(lambda op, arg: {"op": op, "arg": arg},
+                          st.sampled_from(["abs", "tanh", "arctan", "min1"]), children)
+        term = st.builds(lambda c, a: {"coef": c, "arg": a}, _coefs, children)
+        lincomb = st.builds(lambda c, ts: {"op": "lincomb", "const": c, "terms": ts},
+                            _coefs, st.lists(term, max_size=3))
+        return unary | lincomb
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+def _state_leaves(dim):
+    return st.one_of(
+        st.builds(lambda v: {"op": "const", "value": v}, _coefs),
+        st.just({"op": "time"}),
+        st.builds(lambda i: {"op": "coord", "index": i}, st.integers(0, dim - 1)),
+        st.just({"op": "norm"}),
+    )
+
+
+def _any_expr(dim):
+    # Integrals are leaves over state-only arguments, so they never nest.
+    integral = st.builds(lambda a: {"op": "integral", "arg": a}, _exprs(_state_leaves(dim)))
+    return _exprs(_state_leaves(dim) | integral)
+
+
+def _nodes(node, inside=False):
+    """(node, inside an integral argument) for every node of a JSON expression."""
+    yield node, inside
+    args = [t["arg"] for t in node.get("terms", [])] + ([node["arg"]] if "arg" in node else [])
+    for arg in args:
+        yield from _nodes(arg, inside or node["op"] == "integral")
+
+
+def _lip(node):
+    """Reference state-Lipschitz bound of a JSON expression."""
+    op = node["op"]
+    if op in ("coord", "norm"):
+        return 1.0
+    if op == "lincomb":
+        return sum(abs(t["coef"]) * _lip(t["arg"]) for t in node["terms"])
+    if op in ("abs", "tanh", "arctan", "min1"):
+        return _lip(node["arg"])
+    return 0.0  # const, time, and integrals (constant in the state)
+
+
+@st.composite
+def _model_specs(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["scalar", "diag"]))
+    drift = [draw(_any_expr(dim)) for _ in range(dim)]
+    # sigma = 1 + tanh(e)/10 keeps sigma^2 in [1/K, K] for any generated e.
+    sigma = [{"op": "lincomb", "const": 1.0,
+              "terms": [{"coef": 0.1, "arg": {"op": "tanh", "arg": draw(_any_expr(dim))}}]}
+             for _ in range(1 if kind == "scalar" else dim)]
+    return {"name": "generated", "dim": dim, "drift": drift,
+            "diffusion": {"kind": kind, "exprs": sigma},
+            "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
+                          "b_sup": 1e12, "grad_sigma_bound": 0.0}}
+
+
+@settings(deadline=None, max_examples=60)
+@given(_model_specs())
+def test_grammar_roundtrip_flags_and_evaluation(spec):
+    model = Model.from_json(json.loads(json.dumps(spec)))
+    assert model.to_json() == spec
+
+    def uses_space(exprs):
+        return any(n["op"] in ("coord", "norm") and not inside
+                   for e in exprs for n, inside in _nodes(e))
+
+    def uses_measure(exprs):
+        return any(n["op"] == "integral" for e in exprs for n, _ in _nodes(e))
+
+    sigma_specs = spec["diffusion"]["exprs"]
+    assert model.sigma_space_free == (not uses_space(sigma_specs))
+    assert model.sigma_measure_free == (not uses_measure(sigma_specs))
+    assert model.drift_measure_free == (not uses_measure(spec["drift"]))
+    integrands = [n["arg"] for e in sigma_specs for n, _ in _nodes(e) if n["op"] == "integral"]
+    assert model.sigma_wk_lipschitz == all(math.isfinite(_lip(a)) for a in integrands)
+    for node, e in zip(spec["drift"] + sigma_specs, model.drift + model.diffusion.exprs):
+        assert e.lipschitz() == _lip(node)
+
+    rng = np.random.default_rng(0)
+    dim = spec["dim"]
+    points = rng.normal(size=(5, dim))
+    mu = Measure.from_points(rng.normal(size=(4, dim)))
+    b = drift_batch(model, 0.3, points, mu)
+    s = sigma_batch(model, 0.3, points, mu)
+    assert b.shape == (5, dim) and np.all(np.isfinite(b))
+    assert s.shape == (5, 1 if spec["diffusion"]["kind"] == "scalar" else dim)
+    assert np.all(np.isfinite(s))

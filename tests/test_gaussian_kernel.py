@@ -13,6 +13,7 @@ from mvsde.gaussian_kernel import (
     q_density,
     q_derivatives,
     q_values,
+    variance_profile,
 )
 from mvsde.coefficients import Model
 from mvsde.measures import Flow, Measure
@@ -74,6 +75,31 @@ def test_frozen_covariance_flow_coverage():
     flow = Flow([0.0, 0.5], (Measure.dirac([0.0]), Measure.dirac([1.0])))
     with pytest.raises(DomainError):
         frozen_covariance(model, flow, [0.0], 0.0, 1.0)  # two-node flow ends at 0.5
+
+
+def test_variance_profile_shape_and_values():
+    # diag sigma = (1.2, 1 + tanh(x_0)/4): a constant and a state-dependent axis.
+    model = Model.from_json({
+        "name": "diag2", "dim": 2,
+        "drift": [{"op": "const", "value": 0.0}] * 2,
+        "diffusion": {"kind": "diag", "exprs": [
+            {"op": "const", "value": 1.2},
+            {"op": "lincomb", "const": 1.0, "terms": [
+                {"coef": 0.25, "arg": {"op": "tanh", "arg": {"op": "coord", "index": 0}}}]}]},
+        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
+                      "b_sup": 0.0, "grad_sigma_bound": 0.25},
+    })
+    flow = Flow.constant(Measure.dirac([0.0, 0.0]), [0.0])
+    pts = np.array([[0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]])
+    prof = variance_profile(model, flow, pts, 0.0, [0.25, 0.5])
+    assert prof.shape == (3, 3, 2)
+    assert np.all(prof[0] == 0.0)
+    for j, t in ((1, 0.25), (2, 0.5)):
+        assert prof[j, :, 0] == pytest.approx(1.44 * t, rel=1e-12)
+        assert prof[j, :, 1] == pytest.approx((1 + np.tanh(pts[:, 0]) / 4) ** 2 * t, rel=1e-12)
+    for z, row in zip(pts, prof[-1]):
+        cov = frozen_covariance(model, flow, z, 0.0, 0.5)
+        assert np.diag(cov.a) == pytest.approx(row, rel=1e-12)
 
 
 def test_q_density_values():
