@@ -520,12 +520,12 @@ def _random_measure(rng, dim: int, n_atoms: int = 8) -> Measure:
 
 
 def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
-                    horizon: float = 1.0, raise_on_failure: bool = True) -> AuditReport:
+                    raise_on_failure: bool = True) -> AuditReport:
     """Sampled audit of the declared constants.
 
-    Draws (t, x, y, mu1, mu2) with x, y ~ N(0, 4I) and mu1, mu2 random
-    8-atom measures supported in [-3, 3]^d, then estimates the worst ratio
-    of each structural inequality against its declared right-hand side:
+    Draws (t, x, y, mu1, mu2) with t ~ U(0, 1), x, y ~ N(0, 4I) and mu1, mu2
+    random 8-atom measures supported in [-3, 3]^d, then estimates the worst
+    ratio of each structural inequality against its declared right-hand side:
 
     * ``a1_space``:   |sigma(x,mu) - sigma(y,mu)| / |x-y|^beta
     * ``a1_measure``: |sigma(x,mu1) - sigma(x,mu2)| / (W_eta + W_k)
@@ -553,7 +553,7 @@ def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
 
     eval_failure = None
     for i in range(n_samples):
-        t = rng.uniform(0.0, horizon)
+        t = rng.uniform(0.0, 1.0)
         x = rng.normal(scale=2.0, size=model.dim)
         y = rng.normal(scale=2.0, size=model.dim)
         mu1 = _random_measure(rng, model.dim)

@@ -143,13 +143,13 @@ def _d2(f: np.ndarray, h: float) -> np.ndarray:
 
 
 def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: float,
-                  tol: float = 1e-6, cells: int = 1024, time_nodes: int = 28,
-                  max_iter: int = MAX_PICARD_ITER) -> DuhamelGrid:
+                  tol: float = 1e-6, cells: int = 1024,
+                  time_nodes: int = 28) -> DuhamelGrid:
     """Picard iteration p^(0) = q, p^(n+1) = q + remainder[p^(n)] on a 1D grid.
 
     Iterates until the sup-norm change between sweeps falls below ``tol``;
     raises :class:`ConvergenceError` with the residual history after
-    ``max_iter`` sweeps.  Refuses horizons the grid cannot resolve
+    ``MAX_PICARD_ITER`` sweeps.  Refuses horizons the grid cannot resolve
     (t - s < 4 K h^2 with h the cell width).
     """
     _require_1d_scalar(model)
@@ -198,7 +198,7 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
 
     P = Q.copy()
     residuals = []
-    for sweep in range(max_iter):
+    for sweep in range(MAX_PICARD_ITER):
         newP = np.empty_like(P)
         for j in range(time_nodes):
             vals = np.zeros((j + 2, cells))  # quadrature nodes: s, times[0..j]
@@ -253,7 +253,7 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
                              sweep + 1, tuple(residuals), h)
 
     raise ConvergenceError(
-        f"Picard iteration did not reach tol={tol} in {max_iter} sweeps "
+        f"Picard iteration did not reach tol={tol} in {MAX_PICARD_ITER} sweeps "
         f"(last residual {residuals[-1]:.3g})",
         history=residuals,
     )

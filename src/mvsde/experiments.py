@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .coefficients import Model, lipschitz_audit, load_model
 from .duhamel import solve_density
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .fixed_point import solve_mvsde
 from .measures import Flow, Measure, pooled_grid, resample, to_density, write_csv
 from .sde_engine import SimConfig, simulate_frozen
@@ -68,10 +68,13 @@ class Series:
 class ExperimentReport:
     kind: str
     model: str
-    passed: bool
     assertions: tuple
     series: tuple
     metadata: dict
+
+    @property
+    def passed(self) -> bool:
+        return all(a.passed for a in self.assertions)
 
 
 def _plain(obj):
@@ -288,9 +291,9 @@ def fit_loglog(xs, ys, drop_ends: bool = True):
     return float(slope), float(intercept)
 
 
-def shared_grid_tv(m1: Measure, m2: Measure, theta: float = 0.0, cells=None) -> float:
+def shared_grid_tv(m1: Measure, m2: Measure, theta: float = 0.0) -> float:
     """Weighted variation between ensembles via KDEs on one pooled grid/bandwidth."""
-    grid, bw = pooled_grid([m1, m2], cells=cells)
+    grid, bw = pooled_grid([m1, m2])
     d1 = to_density(m1, grid=grid, bandwidth=bw)
     d2 = to_density(m2, grid=grid, bandwidth=bw)
     return metrics.weighted_variation(d1, d2, theta).value
@@ -320,7 +323,6 @@ def run_audit(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     return ExperimentReport(
         kind="audit", model=cfg.model.name,
-        passed=all(a.passed for a in assertions),
         assertions=tuple(assertions),
         series=(),
         metadata={"config": config_to_json(cfg), "audit": report.to_json()},
@@ -329,19 +331,29 @@ def run_audit(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     tol = float(cfg.option("tol", 0.05))
-    report = solve_mvsde(cfg.model, cfg.gamma1, cfg.sim, tol=tol)
+    try:
+        report = solve_mvsde(cfg.model, cfg.gamma1, cfg.sim, tol=tol)
+    except ConvergenceError as exc:
+        # Non-convergence is what this experiment measures: a failed
+        # assertion (exit 2), not a runtime error (exit 1).
+        return ExperimentReport(
+            kind="solve", model=cfg.model.name,
+            assertions=(Assertion("converged", False, len(exc.history), str(exc)),),
+            series=(),
+            metadata={"config": config_to_json(cfg), "history": exc.history},
+        )
     hist = report.contraction_history
+    dists = hist["outer_distances"]
     ratios = list(hist["outer_ratios"])
     for info in hist["inner"]:
         ratios.extend(info["ratios"])
     assertions = [
-        Assertion("converged", report.outer_iterations <= 25,
+        Assertion("converged", dists[-1] < report.tol_used,
                   report.outer_iterations, f"tol_used={report.tol_used}"),
         Assertion("ratios_below_one", all(r < 1.0 for r in ratios),
                   max(ratios) if ratios else 0.0,
                   f"{len(ratios)} measured contraction ratios"),
     ]
-    dists = hist["outer_distances"]
     series = [
         Series("outer_distances", ("iteration", "rho_tilde"),
                tuple((i + 1, d) for i, d in enumerate(dists)), logy=True),
@@ -354,7 +366,6 @@ def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
             thin.to_csv(os.path.join(laws_dir, f"node_{i:03d}_t{t:.6f}.csv"))
     return ExperimentReport(
         kind="solve", model=cfg.model.name,
-        passed=all(a.passed for a in assertions),
         assertions=tuple(assertions),
         series=tuple(series),
         metadata={"config": config_to_json(cfg), "solve": report.to_json()},
@@ -364,23 +375,13 @@ def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
 def _solved_flow(cfg: ExperimentConfig, gamma: Measure, t1: float) -> Flow:
     """Solution flow of the full MVSDE from gamma over [t0, t1]."""
     sim = replace(cfg.sim, t1=t1)
-    report = solve_mvsde(cfg.model, gamma, sim, tol=float(cfg.option("tol", 0.05)),
-                         audit=False)
-    return report.solution
+    return solve_mvsde(cfg.model, gamma, sim, tol=float(cfg.option("tol", 0.05))).solution
 
 
 def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
     """Short-time total-variation decay and transport stability of the semigroup."""
     if cfg.times is None or len(cfg.times) < 3:
         raise ConfigError("regularity needs at least 3 time points", "/times")
-    audit = lipschitz_audit(cfg.model, n_samples=SMOKE_AUDIT_SAMPLES, seed=cfg.sim.seed,
-                            raise_on_failure=True)
-    if not (audit.condition_i or audit.condition_ii):
-        raise ConfigError(
-            "regularity requires a diffusion that is either state-free or "
-            "transport-Lipschitz through state-Lipschitz functionals; "
-            f"audit flags: {audit.flags}"
-        )
     gamma1 = cfg.gamma1
     gamma2 = cfg.gamma2 if cfg.gamma2 is not None else gamma1
     k = cfg.model.constants.k
@@ -446,7 +447,6 @@ def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
                      tuple(rows), logx=True, logy=True),)
     return ExperimentReport(
         kind="regularity", model=cfg.model.name,
-        passed=all(a.passed for a in assertions),
         assertions=tuple(assertions), series=series, metadata=metadata,
     )
 
@@ -524,7 +524,6 @@ def run_gradient(cfg: ExperimentConfig) -> ExperimentReport:
     series = (Series("gradient", tuple(columns), tuple(rows), logx=True, logy=True),)
     return ExperimentReport(
         kind="gradient", model=cfg.model.name,
-        passed=all(a.passed for a in assertions),
         assertions=tuple(assertions), series=series, metadata=metadata,
     )
 
@@ -588,7 +587,6 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
             logx=True, logy=True))
     return ExperimentReport(
         kind="stability", model=cfg.model.name,
-        passed=all(a.passed for a in assertions),
         assertions=tuple(assertions), series=tuple(series), metadata=metadata,
     )
 
@@ -615,7 +613,7 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
         n_flow = min(cfg.sim.n_particles, 20_000)
         flow_sim = replace(cfg.sim, n_particles=n_flow, t0=0.0, t1=t_max, crn=True)
         flows = solve_mvsde(cfg.model, cfg.gamma1, flow_sim,
-                            tol=float(cfg.option("tol_solve", 0.05)), audit=False).solution
+                            tol=float(cfg.option("tol_solve", 0.05))).solution
     else:
         flows = Flow.constant(cfg.gamma1, np.array([0.0]))
 
@@ -649,7 +647,6 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
                                  "max_mass_error"), tuple(rows)),)
     return ExperimentReport(
         kind="duhamel", model=cfg.model.name,
-        passed=all(a.passed for a in assertions),
         assertions=tuple(assertions), series=series, metadata=metadata,
     )
 
@@ -668,6 +665,6 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     if cfg.kind not in RUNNERS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}", "/kind")
     if cfg.kind != "audit":
-        # The referenced model must pass its audit before any run.
+        # The one audit of a run: the library below trusts the model.
         lipschitz_audit(cfg.model, n_samples=100, seed=0)
     return RUNNERS[cfg.kind](cfg, outdir=outdir)

@@ -20,13 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import AuditReport, Model, lipschitz_audit
+from .coefficients import Model
 from .errors import ConvergenceError, DomainError
 from . import metrics
 from .measures import Flow, Measure, moment_k, pooled_grid, resample, to_density
-from .sde_engine import SimConfig, simulate_frozen
+from .sde_engine import SimConfig, simulate_frozen, step_times
 
 OT_ATOMS = 256            # per-node resample size before exact OT
+MAX_NODES = 65            # time nodes of an iteration flow
 MAX_INNER_ITER = 30
 MAX_OUTER_ITER = 25
 MAX_LAMBDA_DOUBLINGS = 10
@@ -41,12 +42,11 @@ class _MetricContext:
     k: float
     eta: float
     lam: float
-    resample_seed: int = _METRIC_SEED
     grid: object = None
     bandwidth: object = None
 
     def _thin(self, flow: Flow) -> Flow:
-        return flow.resampled(OT_ATOMS, self.resample_seed)
+        return flow.resampled(OT_ATOMS, _METRIC_SEED)
 
     def rho(self, f1: Flow, f2: Flow) -> float:
         return metrics.rho_lambda(self._thin(f1), self._thin(f2), self.lam, self.k, self.eta)
@@ -56,7 +56,7 @@ class _MetricContext:
             # Fix grid and bandwidth once, from the first pooled node sample.
             pool = list(f1.measures) + list(f2.measures)
             self.grid, self.bandwidth = pooled_grid(
-                [resample(m, OT_ATOMS, self.resample_seed) for m in pool]
+                [resample(m, OT_ATOMS, _METRIC_SEED) for m in pool]
             )
         best = 0.0
         t1 = self._thin(f1)
@@ -85,7 +85,6 @@ class SolveReport:
     noise_floor: float
     tol_requested: float
     tol_used: float
-    history: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -101,14 +100,15 @@ class SolveReport:
         }
 
 
-def solver_grid(cfg: SimConfig, max_nodes: int = 65) -> np.ndarray:
-    """Node grid for iteration flows: simulation steps thinned to <= max_nodes."""
-    n_steps = int(round((cfg.t1 - cfg.t0) / cfg.dt))
-    stride = max(1, int(math.ceil(n_steps / (max_nodes - 1))))
+def solver_grid(cfg: SimConfig) -> np.ndarray:
+    """Node grid for iteration flows: the simulation steps at one stride, t1 included."""
+    steps = step_times(cfg)
+    n_steps = len(steps) - 1
+    stride = max(1, int(math.ceil(n_steps / (MAX_NODES - 1))))
     idx = np.arange(0, n_steps + 1, stride)
     if idx[-1] != n_steps:
         idx = np.append(idx, n_steps)
-    return cfg.t0 + cfg.dt * idx
+    return steps[idx]
 
 
 def psi_map(model: Model, gamma: Measure, mu_flow: Flow, nu_flow: Flow,
@@ -119,8 +119,7 @@ def psi_map(model: Model, gamma: Measure, mu_flow: Flow, nu_flow: Flow,
 
 
 def inner_solve(model: Model, gamma: Measure, mu_flow: Flow, cfg: SimConfig,
-                lam: float, tol: float, metric: _MetricContext | None = None,
-                max_iter: int = MAX_INNER_ITER):
+                lam: float, tol: float, metric: _MetricContext | None = None):
     """Iterate nu <- psi(nu) from the constant-in-time initial law.
 
     Returns (fixed flow, info dict with distances/ratios/iterations).
@@ -134,7 +133,7 @@ def inner_solve(model: Model, gamma: Measure, mu_flow: Flow, cfg: SimConfig,
     nu = Flow.constant(gamma, mu_flow.times)
     distances, ratios = [], []
     strikes = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_INNER_ITER):
         nu_next = psi_map(model, gamma, mu_flow, nu, cfg)
         d = metric.rho(nu, nu_next)
         if distances:
@@ -156,15 +155,15 @@ def inner_solve(model: Model, gamma: Measure, mu_flow: Flow, cfg: SimConfig,
             break
     else:
         raise ConvergenceError(
-            f"inner iteration exceeded {max_iter} sweeps (last distance {distances[-1]:.3g})",
+            f"inner iteration exceeded {MAX_INNER_ITER} sweeps "
+            f"(last distance {distances[-1]:.3g})",
             history=distances,
         )
     info = {"iterations": len(distances), "distances": distances, "ratios": ratios}
     return nu, info
 
 
-def lambda_schedule(constants, audit: AuditReport | None = None,
-                    gamma_moment: float = 1.0, escalations: int = 0) -> float:
+def lambda_schedule(constants, gamma_moment: float = 1.0, escalations: int = 0) -> float:
     """Starting lambda mirroring the layered thresholds with fitted constants 1.
 
     lambda0 = 1 v (2 Gamma(beta/2))^(2/beta);
@@ -175,8 +174,6 @@ def lambda_schedule(constants, audit: AuditReport | None = None,
     """
     if gamma_moment <= 0:
         raise DomainError("gamma moment must be positive")
-    if audit is not None and not audit.passed:
-        raise DomainError(f"model {audit.model!r} failed its audit; refusing to schedule")
     beta, eta = constants.beta, constants.eta
     be = min(beta, eta)
     lam0 = max(1.0, (2.0 * math.gamma(beta / 2.0)) ** (2.0 / beta))
@@ -206,24 +203,20 @@ def estimate_noise_floor(model: Model, gamma: Measure, cfg: SimConfig,
     return metric.rho_tilde(flows[0], flows[1])
 
 
-def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig, tol: float = 0.05,
-                lam: float | None = None, max_outer: int = MAX_OUTER_ITER,
-                max_nodes: int = 65, audit: bool = True,
-                keep_history: bool = False) -> SolveReport:
+def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig,
+                tol: float = 0.05) -> SolveReport:
     """Outer Picard iteration mu <- phi(mu) under rho-tilde_lambda.
 
     The effective tolerance is raised to three times the estimated metric
     noise floor when the request undercuts it (both are reported).  Observed
     non-contraction doubles lambda (up to 2^10) and restarts the outer loop.
+    The model is trusted: callers audit it first (``run_experiment`` does).
     """
     if gamma.dim != model.dim:
         raise DomainError("initial law dimension does not match the model")
-    audit_report = lipschitz_audit(model, n_samples=100, seed=0) if audit else None
     c = model.constants
-    nodes = solver_grid(cfg, max_nodes=max_nodes)
-    base_lam = lam if lam is not None else lambda_schedule(
-        c, audit_report, gamma_weight(gamma, c.k)
-    )
+    nodes = solver_grid(cfg)
+    base_lam = lambda_schedule(c, gamma_weight(gamma, c.k))
 
     escalations = 0
     while True:
@@ -233,11 +226,10 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig, tol: float = 0.05,
         tol_eff = max(tol, 3.0 * floor)
 
         mu = Flow.constant(gamma, nodes)
-        history = [mu] if keep_history else []
         inner_counts, inner_infos, distances, ratios = [], [], [], []
         strikes = 0
         failed = False
-        for _ in range(max_outer):
+        for _ in range(MAX_OUTER_ITER):
             # phi(mu) is the inner fixed point: the intermediate SDE's law drives its sigma.
             mu_next, info = inner_solve(model, gamma, mu, cfg, lam_now, tol_eff, metric=metric)
             inner_counts.append(info["iterations"])
@@ -251,8 +243,6 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig, tol: float = 0.05,
                     failed = True
             distances.append(d)
             mu = mu_next
-            if keep_history:
-                history.append(mu)
             if failed or d < tol_eff:
                 break
         else:
@@ -273,7 +263,6 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig, tol: float = 0.05,
                 noise_floor=floor,
                 tol_requested=tol,
                 tol_used=tol_eff,
-                history=tuple(history),
             )
         escalations += 1
         if escalations > MAX_LAMBDA_DOUBLINGS:

@@ -26,6 +26,8 @@ QUAD_CELLS = {1: 2**10, 2: 2**8}
 MASS_COVERAGE = 1.0 - 1e-8
 WINDOW_STDS = 8.0
 _EIG_SLACK = 1e-9
+SUBSTEPS = 64             # midpoint panels across a variance_profile span
+SCAN_VARIANCE_RATIO = 1.1  # a / (t - s) of the synthetic exponent_scan kernels
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +38,6 @@ class FrozenCovariance:
     s: float
     t: float
     z: np.ndarray
-    flow_id: str = ""
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -63,13 +64,12 @@ class FrozenCovariance:
         return self.t - self.s
 
 
-def variance_profile(model: Model, flow: Flow, points, s: float, times,
-                     substeps: int = 64) -> np.ndarray:
+def variance_profile(model: Model, flow: Flow, points, s: float, times) -> np.ndarray:
     """Cumulative time integral of (sigma sigma*)(z, nu_u) from s, per row z of ``points``.
 
     Composite midpoint on the union of ``times`` and the flow nodes: the
     flow is piecewise constant between nodes, so subdividing each segment
-    (``substeps`` panels across [s, times[-1]]) leaves only the explicit
+    (``SUBSTEPS`` panels across [s, times[-1]]) leaves only the explicit
     time dependence of sigma to the midpoint rule.  Returns the diagonal of
     the integral with shape (1 + len(times), n, d): zeros at s, then one
     slice per entry of ``times``.
@@ -83,7 +83,7 @@ def variance_profile(model: Model, flow: Flow, points, s: float, times,
     table = {float(s): acc}
     for a0, a1 in zip(knots[:-1], knots[1:]):
         nu = flow.at(a0)
-        n_sub = max(1, int(math.ceil(substeps * (a1 - a0) / (t_end - s))))
+        n_sub = max(1, int(math.ceil(SUBSTEPS * (a1 - a0) / (t_end - s))))
         h = (a1 - a0) / n_sub
         for u in a0 + (np.arange(n_sub) + 0.5) * h:
             acc = acc + diffusion_matrix_batch(model, float(u), points, nu) * h
@@ -91,8 +91,7 @@ def variance_profile(model: Model, flow: Flow, points, s: float, times,
     return np.stack([table[float(s)]] + [table[float(ti)] for ti in times])
 
 
-def frozen_covariance(model: Model, flow: Flow, z, s: float, t: float,
-                      substeps: int = 64, flow_id: str = "") -> FrozenCovariance:
+def frozen_covariance(model: Model, flow: Flow, z, s: float, t: float) -> FrozenCovariance:
     """Time quadrature of (sigma sigma*)(z, nu_u) over [s, t] by :func:`variance_profile`.
 
     The result must have eigenvalues in [(t-s)/K, (t-s) K] by the declared
@@ -103,7 +102,7 @@ def frozen_covariance(model: Model, flow: Flow, z, s: float, t: float,
     if not flow.covers(s, t):
         raise DomainError(f"flow on [{flow.times[0]}, {flow.times[-1]}] does not cover [{s}, {t}]")
     z = np.asarray(z, dtype=float).ravel()
-    eigs = variance_profile(model, flow, z.reshape(1, -1), s, [t], substeps)[-1, 0]
+    eigs = variance_profile(model, flow, z.reshape(1, -1), s, [t])[-1, 0]
     K = model.constants.K
     lo, hi = (t - s) / K, (t - s) * K
     if eigs.min() < lo * (1 - _EIG_SLACK) - _EIG_SLACK or eigs.max() > hi * (1 + _EIG_SLACK) + _EIG_SLACK:
@@ -111,7 +110,7 @@ def frozen_covariance(model: Model, flow: Flow, z, s: float, t: float,
             f"frozen covariance spectrum [{eigs.min():.6g}, {eigs.max():.6g}] leaves "
             f"[(t-s)/K, (t-s)K] = [{lo:.6g}, {hi:.6g}]"
         )
-    return FrozenCovariance(np.diag(eigs), s, t, z, flow_id=flow_id)
+    return FrozenCovariance(np.diag(eigs), s, t, z)
 
 
 def q_density(cov: FrozenCovariance, x, y) -> float:
@@ -218,12 +217,11 @@ def moment_integral_g1(cov: FrozenCovariance, i: int, eps: float,
     return float(np.sum(mag * r**eps) * vol)
 
 
-def exponent_scan(i: int, eps: float, horizons, variance_ratio: float = 1.1,
-                  csv_path=None):
+def exponent_scan(i: int, eps: float, horizons, csv_path=None):
     """Moment integrals across horizons with the fitted constant per row.
 
     Evaluates the (i, eps) moment integral for synthetic covariances
-    a = variance_ratio * (t-s) over the given horizons, fits the scaling
+    a = SCAN_VARIANCE_RATIO * (t-s) over the given horizons, fits the scaling
     exponent, and returns (slope, rows) with rows of (t-s, value, fitted_c)
     where fitted_c = value / (t-s)^((eps - i)/2).  Optionally emits the rows
     as CSV.
@@ -232,7 +230,7 @@ def exponent_scan(i: int, eps: float, horizons, variance_ratio: float = 1.1,
     expo = (-i + eps) / 2.0
     rows = []
     for dt in horizons:
-        cov = FrozenCovariance(np.array([[variance_ratio * dt]]), 0.0, dt, np.zeros(1))
+        cov = FrozenCovariance(np.array([[SCAN_VARIANCE_RATIO * dt]]), 0.0, dt, np.zeros(1))
         val = moment_integral_g1(cov, i, eps)
         rows.append((float(dt), float(val), float(val / dt**expo)))
     slope = float(np.polyfit(np.log(horizons), np.log([r[1] for r in rows]), 1)[0])

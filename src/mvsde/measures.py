@@ -326,38 +326,33 @@ def _weighted_quantile(m: Measure, q: float) -> np.ndarray:
     return out
 
 
-def auto_grid(m: Measure, bandwidth, cells=None) -> GridSpec:
-    """Grid fitted to the particle range extended by 4 bandwidths per axis."""
+def auto_grid(m: Measure, bandwidth) -> GridSpec:
+    """Grid of DEFAULT_CELLS per axis over the particle range extended by 4 bandwidths."""
     bw = np.broadcast_to(np.atleast_1d(np.asarray(bandwidth, dtype=float)), (m.dim,))
-    if cells is None:
-        cells = DEFAULT_CELLS[m.dim]
     lo = m.points.min(axis=0) - 4.0 * bw
     hi = m.points.max(axis=0) + 4.0 * bw
     span = hi - lo
     # Guard against a zero-width axis (single atom): open up one bandwidth.
     hi = np.where(span > 0, hi, hi + bw)
     lo = np.where(span > 0, lo, lo - bw)
-    return GridSpec(lo, hi, (cells,) * m.dim)
+    return GridSpec(lo, hi, (DEFAULT_CELLS[m.dim],) * m.dim)
 
 
-def pooled_grid(measures, bandwidth=None, cells=None):
+def pooled_grid(measures):
     """Shared grid (and pooled Silverman bandwidth) for comparing several laws.
 
     Pools all particles with their weights (renormalized) so that symmetric
     distances are evaluated with one grid and one bandwidth.
     """
     measures = list(measures)
-    dim = measures[0].dim
     pts = np.concatenate([m.points for m in measures], axis=0)
     w = np.concatenate([m.weights for m in measures])
     pooled = Measure.from_points(pts, w)
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(pooled)
-    bw = np.broadcast_to(np.atleast_1d(np.asarray(bandwidth, dtype=float)), (dim,))
-    return auto_grid(pooled, bw, cells=cells), bw
+    bw = silverman_bandwidth(pooled)
+    return auto_grid(pooled, bw), bw
 
 
-def to_density(m: Measure, grid: GridSpec | None = None, bandwidth=None, cells=None) -> Density:
+def to_density(m: Measure, grid: GridSpec | None = None, bandwidth=None) -> Density:
     """Gaussian kernel density estimate on a grid, renormalized to unit mass.
 
     The estimate is computed by binning particles into grid cells and
@@ -375,7 +370,7 @@ def to_density(m: Measure, grid: GridSpec | None = None, bandwidth=None, cells=N
     if np.any(bw <= 0):
         raise DomainError("bandwidth must be positive")
     if grid is None:
-        grid = auto_grid(m, bw, cells=cells)
+        grid = auto_grid(m, bw)
 
     warn = bool(
         np.any(m.points.min(axis=0) - 4.0 * bw < grid.lo)

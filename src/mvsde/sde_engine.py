@@ -28,7 +28,12 @@ _TIME_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters; ``crn`` couples noise across compared runs."""
+    """Simulation parameters; ``crn`` couples noise across compared runs.
+
+    The run takes ``round((t1 - t0) / dt)`` steps of size ``dt`` and pins the
+    last node to ``t1``, so a ``dt`` that does not divide ``t1 - t0`` leaves a
+    ragged last step (t1 = 0.0625, dt = 1e-3: 62 steps, the last 0.0015 long).
+    """
 
     n_particles: int
     dt: float
@@ -78,11 +83,16 @@ def _initial_ensemble(init: Measure, n: int, seed: int) -> Measure:
     return resample(init, n, seed ^ _INIT_STREAM)
 
 
-def _schedule(cfg: SimConfig, record_times: np.ndarray) -> np.ndarray:
+def step_times(cfg: SimConfig) -> np.ndarray:
+    """Step nodes t0 + i dt, the last pinned to t1 (see :class:`SimConfig`)."""
     n_steps = int(round((cfg.t1 - cfg.t0) / cfg.dt))
-    base = cfg.t0 + cfg.dt * np.arange(n_steps + 1)
-    base[-1] = cfg.t1
-    grid = np.union1d(base, record_times)
+    times = cfg.t0 + cfg.dt * np.arange(n_steps + 1)
+    times[-1] = cfg.t1
+    return times
+
+
+def _schedule(cfg: SimConfig, record_times: np.ndarray) -> np.ndarray:
+    grid = np.union1d(step_times(cfg), record_times)
     # Collapse nodes closer than the time tolerance.
     keep = np.concatenate(([True], np.diff(grid) > _TIME_TOL))
     return grid[keep]

@@ -165,7 +165,7 @@ def test_criterion_05_duhamel_solver(brownian_model, const_drift_model, arctan_m
     # mean-field case: true flow plugged in, Monte Carlo histogram oracle
     gamma = Measure.dirac([1.0])
     flow_cfg = SimConfig(20_000, 1e-3, 0.0, 0.25, seed=7, crn=True)
-    flows = solve_mvsde(arctan_model, gamma, flow_cfg, tol=0.05, audit=False).solution
+    flows = solve_mvsde(arctan_model, gamma, flow_cfg, tol=0.05).solution
     g2 = solve_density(arctan_model, flows, flows, 1.0, 0.0, 0.25, tol=1e-5, cells=1024)
     n_mc = 100_000
     mc_cfg = SimConfig(n_mc, 1e-3, 0.0, 0.25, seed=24, crn=True)

@@ -67,7 +67,7 @@ def test_duhamel_residuals_csv_bytes(tmp_path):
 def test_emit_report_series_csv_bytes(tmp_path):
     series = Series("outer", ("iteration", "rho_tilde"),
                     ((1, 0.5), (2, np.float64(1e17)), (3, 1e-07)))
-    report = ExperimentReport(kind="solve", model="m", passed=True, assertions=(),
+    report = ExperimentReport(kind="solve", model="m", assertions=(),
                               series=(series,), metadata={})
     emit_report(report, tmp_path)
     # Series cells are floats, the iteration column included.

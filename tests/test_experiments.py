@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from mvsde import cli, metrics
-from mvsde.errors import ConfigError, DomainError
+from mvsde import cli, experiments, metrics
+from mvsde.errors import ConfigError, ConvergenceError, DomainError
 from mvsde.experiments import (
     ExperimentConfig,
     config_to_json,
@@ -229,3 +229,39 @@ def test_shared_grid_tv_between_ensembles():
 
     got = shared_grid_tv(m1, m2, 0.0)
     assert got == pytest.approx(tv_shifted_normals(0.5, 1.0), abs=0.02)
+
+
+def test_solve_non_convergence_exits_2(tmp_path, monkeypatch):
+    # Non-convergence is the solve experiment's finding: a failed assertion.
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("no contraction up to lambda=1", history=[0.3, 0.4])
+
+    monkeypatch.setattr(experiments, "solve_mvsde", no_convergence)
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", str(CONFIGS / "solve_arctan.json"),
+                   "--out", str(out), "--smoke"])
+    assert rc == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is False
+    [converged] = summary["assertions"]
+    assert converged["name"] == "converged" and converged["passed"] is False
+    assert converged["detail"] == "no contraction up to lambda=1"
+    assert summary["metadata"]["history"] == [0.3, 0.4]
+
+
+def test_run_experiment_audits_model_before_solving(tmp_path, monkeypatch, capsys):
+    # sigma = 2 gives sigma^2 = 4 > K = 1.5: the declared K understates it.
+    model = json.loads((CONFIGS.parent / "models" / "brownian.json").read_text())
+    model["diffusion"]["exprs"][0]["value"] = 2.0
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "kind": "solve", "model": "model.json",
+        "sim": {"n_particles": 100, "dt": 0.01, "t1": 0.1},
+    }))
+    calls = []
+    monkeypatch.setattr(experiments, "solve_mvsde", lambda *a, **k: calls.append(a))
+    rc = cli.main(["solve", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "failed audit" in capsys.readouterr().err
+    assert calls == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvsde.coefficients import ModelConstants, lipschitz_audit
+from mvsde.coefficients import ModelConstants
 from mvsde.errors import DomainError
 from mvsde.fixed_point import (
     _MetricContext,
@@ -26,24 +26,16 @@ def _cfg(n=20_000, dt=1e-3, t1=0.25, seed=11):
 
 def test_lambda_schedule_formula():
     c = ModelConstants(K=1.5, k=1.0, eta=1.0, beta=1.0, b_sup=0.0, grad_sigma_bound=0.0)
-    lam = lambda_schedule(c, None, gamma_moment=1.0)
+    lam = lambda_schedule(c, gamma_moment=1.0)
     assert lam == pytest.approx(4.0 * math.pi, rel=1e-12)
     # monotone in the initial moment weight
-    lams = [lambda_schedule(c, None, gamma_moment=g) for g in (1.0, 2.0, 5.0)]
+    lams = [lambda_schedule(c, gamma_moment=g) for g in (1.0, 2.0, 5.0)]
     assert lams[0] <= lams[1] <= lams[2]
     # doubling escalation, capped
-    assert lambda_schedule(c, None, 1.0, escalations=3) == pytest.approx(lam * 8)
-    assert lambda_schedule(c, None, 1.0, escalations=99) == pytest.approx(lam * 2**10)
+    assert lambda_schedule(c, 1.0, escalations=3) == pytest.approx(lam * 8)
+    assert lambda_schedule(c, 1.0, escalations=99) == pytest.approx(lam * 2**10)
     with pytest.raises(DomainError):
-        lambda_schedule(c, None, gamma_moment=0.0)
-
-
-def test_lambda_schedule_rejects_failed_audit(brownian_model):
-    bad = lipschitz_audit(brownian_model, n_samples=10, seed=0)
-    object.__setattr__(bad, "passed", False)
-    c = brownian_model.constants
-    with pytest.raises(DomainError):
-        lambda_schedule(c, bad, 1.0)
+        lambda_schedule(c, gamma_moment=0.0)
 
 
 def test_gamma_weight():
@@ -53,11 +45,19 @@ def test_gamma_weight():
 
 def test_solver_grid_properties():
     cfg = _cfg(dt=1e-3, t1=0.25)
-    grid = solver_grid(cfg, max_nodes=65)
+    grid = solver_grid(cfg)
     assert grid[0] == 0.0 and grid[-1] == pytest.approx(0.25)
     assert len(grid) <= 66
     steps = np.round(np.diff(grid) / cfg.dt).astype(int)
     assert np.all(steps >= 1)
+
+
+def test_solve_ragged_horizon_ends_at_t1(arctan_model):
+    # dt does not divide t1: the iteration flows still reach t1.
+    cfg = SimConfig(500, 1e-3, 0.0, 0.0625, 3)
+    assert solver_grid(cfg)[-1] == 0.0625
+    rep = solve_mvsde(arctan_model, Measure.dirac([1.0]), cfg)
+    assert rep.solution.times[-1] == 0.0625
 
 
 def test_contraction_rate_synthetic_half():
@@ -110,7 +110,7 @@ def test_inner_solve_tanh_variance_oracle(tanh_model):
     nodes = solver_grid(cfg)
     gamma = Measure.dirac([0.0])
     mu = Flow.constant(gamma, nodes)
-    lam = lambda_schedule(tanh_model.constants, None, gamma_weight(gamma, 1.0))
+    lam = lambda_schedule(tanh_model.constants, gamma_weight(gamma, 1.0))
     flow, info = inner_solve(tanh_model, gamma, mu, cfg, lam=lam, tol=0.02)
     ts, v = tanh_variance_oracle(0.25)
     v_end = float(np.interp(0.25, ts, v))
@@ -198,7 +198,7 @@ def test_contraction_monotone_in_lambda(tanh_model):
     history = [Flow.constant(gamma, nodes)]
     for _ in range(3):
         history.append(psi_map(tanh_model, gamma, mu, history[-1], cfg))
-    lam_hat = lambda_schedule(tanh_model.constants, None, 1.0)
+    lam_hat = lambda_schedule(tanh_model.constants, 1.0)
     thin = [f.resampled(256, 411) for f in history]
     ratios = []
     for lam in (lam_hat, 2 * lam_hat, 4 * lam_hat):

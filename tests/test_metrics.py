@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mvsde import metrics
@@ -260,3 +261,43 @@ def test_flow_distance_average_piecewise():
     # distance 0 on [0, .5), 2 on [.5, 1]: average over [0,1] = 1
     avg = metrics.flow_distance_average(f1, f2, 0.0, 1.0, 1.0, 1.0)
     assert avg == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# properties on random weighted measures
+
+
+@st.composite
+def _weighted_measure(draw, dim=1):
+    n = draw(st.integers(1, 12))
+    pts = draw(st.lists(st.lists(st.floats(-100, 100), min_size=dim, max_size=dim),
+                        min_size=n, max_size=n))
+    w = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    return Measure.from_points(np.array(pts), w)
+
+
+@settings(deadline=None)
+@given(_weighted_measure(), _weighted_measure())
+def test_w1_equals_cdf_l1_distance(m1, m2):
+    # In 1D, W_1 is the integral of |F - G|; both are step functions that
+    # jump only on the merged support.
+    xs = np.union1d(m1.points[:, 0], m2.points[:, 0])
+    F = np.array([m1.weights[m1.points[:, 0] <= x].sum() for x in xs[:-1]])
+    G = np.array([m2.weights[m2.points[:, 0] <= x].sum() for x in xs[:-1]])
+    ref = float(np.sum(np.abs(F - G) * np.diff(xs)))
+    got = metrics.wasserstein_1d(m1, m2, 1.0).value
+    assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_transport_distances_symmetric(data):
+    dim = data.draw(st.sampled_from([1, 2]))
+    m1 = data.draw(_weighted_measure(dim))
+    m2 = data.draw(_weighted_measure(dim))
+    k = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    eta = data.draw(st.floats(0.1, 1.0))
+    for dist, p in ((metrics.wasserstein, k), (metrics.wasserstein_eta, eta)):
+        d12 = dist(m1, m2, p).value
+        d21 = dist(m2, m1, p).value
+        assert d12 == pytest.approx(d21, rel=1e-7, abs=1e-9)

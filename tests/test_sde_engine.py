@@ -6,7 +6,7 @@ import pytest
 from mvsde import metrics
 from mvsde.errors import DomainError
 from mvsde.measures import Flow, Measure
-from mvsde.sde_engine import SimConfig, moment_check_nnt, simulate_frozen
+from mvsde.sde_engine import SimConfig, moment_check_nnt, simulate_frozen, step_times
 
 
 def _const_flow(x=0.0):
@@ -20,6 +20,15 @@ def test_simconfig_validation():
         SimConfig(10, 0.0, 0.0, 1.0, 0)
     with pytest.raises(DomainError):
         SimConfig(10, 2.0, 0.0, 1.0, 0)  # dt > t1 - t0
+
+
+def test_step_times_ragged_last_step():
+    # 0.0625 / 1e-3 rounds to 62 steps; the last node is pinned to t1.
+    times = step_times(SimConfig(500, 1e-3, 0.0, 0.0625, 3))
+    assert len(times) == 63
+    assert times[0] == 0.0 and times[-1] == 0.0625
+    assert np.allclose(np.diff(times)[:-1], 1e-3, rtol=0, atol=1e-15)
+    assert times[-1] - times[-2] == pytest.approx(0.0015, abs=1e-15)
 
 
 def test_brownian_law(brownian_model):
