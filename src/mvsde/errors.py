@@ -28,7 +28,8 @@ class AuditError(MvsdeError):
 class ConvergenceError(MvsdeError):
     """An iteration failed to contract or converge.
 
-    ``history`` carries the residual/ratio series observed before failure.
+    ``history`` is the per-sweep distance (or residual) series of the loop
+    that gave up, in sweep order, its last sweep included.
     """
 
     def __init__(self, message, history=None):

@@ -19,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .measures import Flow, Measure, pooled_grid, resample, to_density, write_cs
 from .sde_engine import SimConfig, simulate_frozen
 
 KINDS = ("audit", "solve", "regularity", "gradient", "stability", "duhamel")
+TOP_KEYS = ("kind", "model", "gamma1", "gamma2", "times", "sim", "options")
+SIM_KEYS = ("n_particles", "dt", "t0", "t1", "seed", "crn")
 
 SMOKE_PARTICLES = 1000
 SMOKE_MC_PARTICLES = 10_000
@@ -77,21 +80,15 @@ class ExperimentReport:
         return all(a.passed for a in self.assertions)
 
 
-def _plain(obj):
-    """Coerce numpy scalars/arrays so json.dump accepts the structure."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+def _json_default(obj):
+    """json.dump hook for the numpy values in report metadata (np.float64 is a float)."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def emit_report(report: ExperimentReport, outdir) -> list:
@@ -127,12 +124,12 @@ def emit_report(report: ExperimentReport, outdir) -> list:
         "model": report.model,
         "passed": bool(report.passed),
         "assertions": [a.to_json() for a in report.assertions],
-        "metadata": _plain(report.metadata),
+        "metadata": report.metadata,
         "series": series_files,
     }
     path = os.path.join(outdir, "summary.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
+        json.dump(summary, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
     written.append(path)
     return written
@@ -155,7 +152,17 @@ class ExperimentConfig:
     smoke: bool = False
 
     def option(self, key, default):
+        if key not in OPTIONS[self.kind]:
+            raise KeyError(f"{key!r} is not in the {self.kind} options table")
         return self.options.get(key, default)
+
+
+def _reject_unknown_keys(raw, allowed, pointer: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError("must be an object", pointer)
+    for key in raw:
+        if key not in allowed:
+            raise ConfigError(f"unknown key; expected one of {allowed}", f"{pointer}/{key}")
 
 
 def _measure_from_spec(spec, pointer: str) -> Measure:
@@ -196,6 +203,7 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    _reject_unknown_keys(raw, TOP_KEYS, "")
     if "kind" not in raw:
         raise ConfigError("missing experiment kind", "/kind")
     cfg_kind = raw["kind"]
@@ -227,6 +235,8 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
             raise ConfigError("time points must lie in (0, T]", "/times/0")
 
     sim_raw = raw.get("sim", {})
+    _reject_unknown_keys(sim_raw, SIM_KEYS, "/sim")
+    _reject_unknown_keys(raw.get("options", {}), OPTIONS[cfg_kind], "/options")
     n = int(sim_raw.get("n_particles", 10_000))
     if particles is not None:
         n = particles
@@ -300,11 +310,8 @@ def shared_grid_tv(m1: Measure, m2: Measure, theta: float = 0.0) -> float:
 
 
 def _sup_wk(flow1: Flow, flow2: Flow, k: float) -> float:
-    vals = [
-        metrics.wasserstein(a, b, k).value
-        for a, b in zip(flow1.measures, flow2.measures)
-    ]
-    return max(vals)
+    return max(metrics.node_distances(flow1, flow2,
+                                      lambda a, b: metrics.wasserstein(a, b, k).value))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +351,7 @@ def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
         )
     hist = report.contraction_history
     dists = hist["outer_distances"]
-    ratios = list(hist["outer_ratios"])
-    for info in hist["inner"]:
-        ratios.extend(info["ratios"])
+    ratios = hist["outer_ratios"] + [r for info in hist["inner"] for r in info["ratios"]]
     assertions = [
         Assertion("converged", dists[-1] < report.tol_used,
                   report.outer_iterations, f"tol_used={report.tol_used}"),
@@ -386,29 +391,19 @@ def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
     gamma2 = cfg.gamma2 if cfg.gamma2 is not None else gamma1
     k = cfg.model.constants.k
     t1 = float(cfg.times[-1])
-    record = np.union1d(cfg.times, [cfg.sim.t0])
     sim = replace(cfg.sim, t1=t1, crn=True)
 
     flow_mu1 = _solved_flow(cfg, gamma1, t1)
-    if gamma2 is gamma1:
-        flow_mu2 = flow_mu1
-    else:
-        flow_mu2 = _solved_flow(cfg, gamma2, t1)
-    law1 = simulate_frozen(cfg.model, flow_mu1, flow_mu1, gamma1, sim, record_times=record)
-    law2 = simulate_frozen(cfg.model, flow_mu2, flow_mu2, gamma2, sim, record_times=record)
+    flow_mu2 = flow_mu1 if gamma2 is gamma1 else _solved_flow(cfg, gamma2, t1)
+    law1 = simulate_frozen(cfg.model, flow_mu1, flow_mu1, gamma1, sim, record_times=cfg.times)
+    law2 = simulate_frozen(cfg.model, flow_mu2, flow_mu2, gamma2, sim, record_times=cfg.times)
 
     w0 = metrics.wasserstein(gamma1, gamma2, k).value
-    rows, tvs, wks = [], [], []
-    for t in cfg.times:
-        i = int(np.searchsorted(law1.times, t - 1e-12))
-        m1, m2 = law1.measures[i], law2.measures[i]
-        tv = shared_grid_tv(m1, m2, 0.0)
-        wk = metrics.wasserstein(m1, m2, k).value
-        tvs.append(tv)
-        wks.append(wk)
-        rows.append((float(t), tv, wk, wk / w0 if w0 > 0 else 0.0))
-    tvs = np.array(tvs)
-    wks = np.array(wks)
+    tvs = np.array(metrics.node_distances(law1, law2, lambda a, b: shared_grid_tv(a, b, 0.0)))
+    wks = np.array(metrics.node_distances(law1, law2,
+                                          lambda a, b: metrics.wasserstein(a, b, k).value))
+    rows = [(float(t), tv, wk, wk / w0 if w0 > 0 else 0.0)
+            for t, tv, wk in zip(cfg.times, tvs.tolist(), wks.tolist())]
 
     assertions = []
     metadata = {"config": config_to_json(cfg), "w0": w0}
@@ -416,7 +411,7 @@ def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
         # Identical initials: distances sit at the decoupled noise floor.
         sim_b = replace(sim, seed=sim.seed + 1)
         law_b = simulate_frozen(cfg.model, flow_mu1, flow_mu1, gamma1, sim_b,
-                                record_times=record)
+                                record_times=cfg.times)
         floor = max(
             shared_grid_tv(law1.measures[-1], law_b.measures[-1], 0.0), 1e-12
         )
@@ -460,7 +455,6 @@ def run_gradient(cfg: ExperimentConfig) -> ExperimentReport:
     x = cfg.gamma1.points[0]
     y = cfg.gamma2.points[0]
     dxy = float(np.linalg.norm(x - y))
-    k = cfg.model.constants.k
     K = cfg.model.constants.K
     t_min = float(cfg.times[0])
     bw_floor = 0.9 * math.sqrt(K * t_min) * cfg.sim.n_particles ** (-0.2)
@@ -471,33 +465,23 @@ def run_gradient(cfg: ExperimentConfig) -> ExperimentReport:
         )
     epsilons = [float(e) for e in cfg.option("epsilons", [0.25, 0.5, 1.0])]
     t1 = float(cfg.times[-1])
-    record = np.union1d(cfg.times, [cfg.sim.t0])
     sim = replace(cfg.sim, t1=t1, crn=True)
 
     flow_mu = _solved_flow(cfg, cfg.gamma1, t1)
-    law1 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma1, sim, record_times=record)
-    law2 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma2, sim, record_times=record)
+    law1 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma1, sim, record_times=cfg.times)
+    law2 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma2, sim, record_times=cfg.times)
 
-    rows = []
-    tvs = []
-    weps = {e: [] for e in epsilons}
-    for t in cfg.times:
-        i = int(np.searchsorted(law1.times, t - 1e-12))
-        m1, m2 = law1.measures[i], law2.measures[i]
-        tv = shared_grid_tv(m1, m2, 0.0)
-        tvs.append(tv)
-        row = [float(t), tv]
-        for e in epsilons:
-            if e >= 1.0:
-                w = metrics.wasserstein(m1, m2, e).value
-            else:
-                # One coupled resample straight to the LP budget.
-                thin1 = resample(m1, min(m1.n, 100), 13)
-                thin2 = resample(m2, min(m2.n, 100), 13)
-                w = metrics.ot_lp(thin1, thin2, e).value
-            weps[e].append(w)
-            row.append(w)
-        rows.append(tuple(row))
+    def w_eps(e, m1, m2):
+        if e >= 1.0:
+            return metrics.wasserstein(m1, m2, e).value
+        # One coupled resample straight to the LP budget.
+        thin1 = resample(m1, min(m1.n, 100), 13)
+        thin2 = resample(m2, min(m2.n, 100), 13)
+        return metrics.ot_lp(thin1, thin2, e).value
+
+    tvs = metrics.node_distances(law1, law2, lambda a, b: shared_grid_tv(a, b, 0.0))
+    weps = {e: metrics.node_distances(law1, law2, partial(w_eps, e)) for e in epsilons}
+    rows = [(float(t), *vals) for t, *vals in zip(cfg.times, tvs, *weps.values())]
 
     assertions = []
     metadata = {"config": config_to_json(cfg), "dxy": dxy}
@@ -535,15 +519,14 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
     deltas = np.asarray(cfg.option("deltas", [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]),
                         dtype=float)
     sim = cfg.sim
-    base_flow = _solved_flow(cfg, cfg.gamma1, sim.t1)
+    t0, t1 = sim.t0, sim.t1
+    base_flow = _solved_flow(cfg, cfg.gamma1, t1)
     nodes = base_flow.times
     e1 = np.zeros(cfg.model.dim)
     e1[0] = 1.0
 
     law_base = simulate_frozen(cfg.model, base_flow, base_flow, cfg.gamma1, sim,
                                record_times=nodes)
-    # Lengths of the node segments over [t0, t1], weighting the flow drivers.
-    seg = np.diff(np.append(nodes, sim.t1)) if nodes[-1] < sim.t1 else np.diff(nodes)
 
     drivers = {
         "initial": lambda d: (cfg.gamma1.shift(d * e1), base_flow, base_flow),
@@ -563,18 +546,13 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
             if name == "initial":
                 driver_vals.append(metrics.wasserstein(cfg.gamma1, gamma, k).value)
             elif name == "diffusion_flow":
-                vals = [
-                    (metrics.wasserstein(a, b, k).value
-                     + metrics.wasserstein_eta(a, b, eta).value) ** 2
-                    for a, b in zip(base_flow.measures, nu_f.measures)
-                ]
-                driver_vals.append(math.sqrt(float(np.sum(np.array(vals[: len(seg)]) * seg))))
+                vals = metrics.node_distances(base_flow, nu_f,
+                                              lambda a, b: metrics.transport(a, b, k, eta) ** 2)
+                driver_vals.append(math.sqrt(metrics.segment_integral(nodes, vals, t0, t1)))
             else:
-                vals = [
-                    metrics.wasserstein(a, b, k).value + shared_grid_tv(a, b, k)
-                    for a, b in zip(base_flow.measures, mu_f.measures)
-                ]
-                driver_vals.append(float(np.sum(np.array(vals[: len(seg)]) * seg)))
+                vals = metrics.node_distances(base_flow, mu_f, lambda a, b: (
+                    metrics.wasserstein(a, b, k).value + shared_grid_tv(a, b, k)))
+                driver_vals.append(metrics.segment_integral(nodes, vals, t0, t1))
         slope, _ = fit_loglog(deltas, responses, drop_ends=False)
         assertions.append(Assertion(
             f"{name}_response_linear", abs(slope - 1.0) <= 0.2, slope,
@@ -650,6 +628,17 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
         assertions=tuple(assertions), series=series, metadata=metadata,
     )
 
+
+# The options each runner reads; parse_config rejects any other key.
+OPTIONS = {
+    "audit": ("n_samples",),
+    "solve": ("tol",),
+    "regularity": ("tol",),
+    "gradient": ("tol", "epsilons"),
+    "stability": ("tol", "deltas"),
+    "duhamel": ("horizons", "cells", "mc_particles", "tv_tol", "tol", "comparison_bins",
+                "tol_solve"),
+}
 
 RUNNERS = {
     "audit": lambda cfg, outdir=None: run_audit(cfg),

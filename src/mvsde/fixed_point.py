@@ -16,7 +16,7 @@ exact transport solvers run; the resample seed is fixed per solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class _MetricContext:
     k: float
     eta: float
     lam: float
-    grid: object = None
-    bandwidth: object = None
+    grid: object = field(default=None, init=False)
+    bandwidth: object = field(default=None, init=False)
 
     def _thin(self, flow: Flow) -> Flow:
         return flow.resampled(OT_ATOMS, _METRIC_SEED)
@@ -52,24 +52,20 @@ class _MetricContext:
         return metrics.rho_lambda(self._thin(f1), self._thin(f2), self.lam, self.k, self.eta)
 
     def rho_tilde(self, f1: Flow, f2: Flow) -> float:
+        """rho-tilde_lambda with W_k on resampled nodes and the variation on KDEs."""
         if self.grid is None:
             # Fix grid and bandwidth once, from the first pooled node sample.
-            pool = list(f1.measures) + list(f2.measures)
             self.grid, self.bandwidth = pooled_grid(
-                [resample(m, OT_ATOMS, _METRIC_SEED) for m in pool]
-            )
-        best = 0.0
-        t1 = self._thin(f1)
-        t2 = self._thin(f2)
-        for t, a, b, a_full, b_full in zip(
-            f1.times, t1.measures, t2.measures, f1.measures, f2.measures
-        ):
-            wk = metrics.wasserstein(a, b, self.k).value
-            da = to_density(a_full, grid=self.grid, bandwidth=self.bandwidth)
-            db = to_density(b_full, grid=self.grid, bandwidth=self.bandwidth)
-            var = metrics.weighted_variation(da, db, self.k).value
-            best = max(best, math.exp(-self.lam * t) * (wk + var))
-        return best
+                [resample(m, OT_ATOMS, _METRIC_SEED) for m in f1.measures + f2.measures])
+        wk = metrics.node_distances(self._thin(f1), self._thin(f2),
+                                    lambda a, b: metrics.wasserstein(a, b, self.k).value)
+        var = metrics.node_distances(f1, f2, self._variation)
+        return metrics.sup_discounted(f1.times, [w + v for w, v in zip(wk, var)], self.lam)
+
+    def _variation(self, a: Measure, b: Measure) -> float:
+        da = to_density(a, grid=self.grid, bandwidth=self.bandwidth)
+        db = to_density(b, grid=self.grid, bandwidth=self.bandwidth)
+        return metrics.weighted_variation(da, db, self.k).value
 
 
 @dataclass(frozen=True)
@@ -77,14 +73,23 @@ class SolveReport:
     """Outcome of a fixed-point solve with its contraction diagnostics."""
 
     solution: Flow
-    inner_iterations: tuple
-    outer_iterations: int
     contraction_history: dict
     lambda_used: float
     lambda_escalations: int
     noise_floor: float
     tol_requested: float
-    tol_used: float
+
+    @property
+    def inner_iterations(self) -> tuple:
+        return tuple(info["iterations"] for info in self.contraction_history["inner"])
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.contraction_history["outer_distances"])
+
+    @property
+    def tol_used(self) -> float:
+        return _effective_tol(self.tol_requested, self.noise_floor)
 
     def to_json(self) -> dict:
         return {
@@ -100,6 +105,11 @@ class SolveReport:
         }
 
 
+def _effective_tol(tol: float, floor: float) -> float:
+    """The requested tolerance, raised to three times the metric noise floor."""
+    return max(tol, 3.0 * floor)
+
+
 def solver_grid(cfg: SimConfig) -> np.ndarray:
     """Node grid for iteration flows: the simulation steps at one stride, t1 included."""
     steps = step_times(cfg)
@@ -109,6 +119,34 @@ def solver_grid(cfg: SimConfig) -> np.ndarray:
     if idx[-1] != n_steps:
         idx = np.append(idx, n_steps)
     return steps[idx]
+
+
+def _iterate(step, dist, x, tol: float, max_iter: int, floor: float):
+    """Picard iteration x <- step(x) until dist(x, step(x)) < tol.
+
+    Returns (last iterate, distances, ratios, failure reason or None).  A
+    ratio of successive distances is recorded when both exceed ``floor``;
+    NONCONTRACTION_STRIKES ratios >= 1 in a row end the iteration.
+    """
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
+    distances, ratios = [], []
+    strikes = 0
+    for _ in range(max_iter):
+        x_next = step(x)
+        d = dist(x, x_next)
+        if distances and distances[-1] > floor and d > floor:
+            ratios.append(d / distances[-1])
+            strikes = strikes + 1 if ratios[-1] >= 1.0 else 0
+        distances.append(d)
+        x = x_next
+        if strikes >= NONCONTRACTION_STRIKES:
+            return x, distances, ratios, (
+                f"failed to contract (ratios {ratios[-NONCONTRACTION_STRIKES:]})")
+        if d < tol:
+            return x, distances, ratios, None
+    return x, distances, ratios, (
+        f"exceeded {max_iter} sweeps (last distance {distances[-1]:.3g})")
 
 
 def psi_map(model: Model, gamma: Measure, mu_flow: Flow, nu_flow: Flow,
@@ -122,45 +160,22 @@ def inner_solve(model: Model, gamma: Measure, mu_flow: Flow, cfg: SimConfig,
                 lam: float, tol: float, metric: _MetricContext | None = None):
     """Iterate nu <- psi(nu) from the constant-in-time initial law.
 
-    Returns (fixed flow, info dict with distances/ratios/iterations).
-    Raises :class:`ConvergenceError` after three consecutive non-contracting
-    steps whose distances exceed the metric noise floor.
+    Returns (fixed flow, info dict with distances/ratios/iterations).  Every
+    two successive distances give a ratio (0.0 once a sweep reproduces its
+    input); three ratios >= 1 in a row, or MAX_INNER_ITER sweeps, raise
+    :class:`ConvergenceError` with the distances.
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
     c = model.constants
     metric = metric or _MetricContext(k=c.k, eta=c.eta, lam=lam)
-    nu = Flow.constant(gamma, mu_flow.times)
-    distances, ratios = [], []
-    strikes = 0
-    for _ in range(MAX_INNER_ITER):
-        nu_next = psi_map(model, gamma, mu_flow, nu, cfg)
-        d = metric.rho(nu, nu_next)
-        if distances:
-            r = d / distances[-1] if distances[-1] > 0 else 0.0
-            ratios.append(r)
-            if r >= 1.0:
-                strikes += 1
-                if strikes >= NONCONTRACTION_STRIKES:
-                    raise ConvergenceError(
-                        f"inner map failed to contract at lambda={lam} "
-                        f"(ratios {ratios[-NONCONTRACTION_STRIKES:]})",
-                        history=ratios,
-                    )
-            else:
-                strikes = 0
-        distances.append(d)
-        nu = nu_next
-        if d < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"inner iteration exceeded {MAX_INNER_ITER} sweeps "
-            f"(last distance {distances[-1]:.3g})",
-            history=distances,
-        )
-    info = {"iterations": len(distances), "distances": distances, "ratios": ratios}
-    return nu, info
+    nu, distances, ratios, failure = _iterate(
+        lambda nu: psi_map(model, gamma, mu_flow, nu, cfg), metric.rho,
+        Flow.constant(gamma, mu_flow.times), tol, MAX_INNER_ITER, -math.inf)
+    if failure is not None:
+        raise ConvergenceError(f"inner iteration at lambda={lam} {failure}",
+                               history=distances)
+    return nu, {"iterations": len(distances), "distances": distances, "ratios": ratios}
 
 
 def lambda_schedule(constants, gamma_moment: float = 1.0, escalations: int = 0) -> float:
@@ -208,7 +223,8 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig,
     """Outer Picard iteration mu <- phi(mu) under rho-tilde_lambda.
 
     The effective tolerance is raised to three times the estimated metric
-    noise floor when the request undercuts it (both are reported).  Observed
+    noise floor when the request undercuts it (both are reported); ratios
+    are recorded only between distances above that floor.  Observed
     non-contraction doubles lambda (up to 2^10) and restarts the outer loop.
     The model is trusted: callers audit it first (``run_experiment`` does).
     """
@@ -216,61 +232,33 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig,
         raise DomainError("initial law dimension does not match the model")
     c = model.constants
     nodes = solver_grid(cfg)
-    base_lam = lambda_schedule(c, gamma_weight(gamma, c.k))
-
-    escalations = 0
-    while True:
-        lam_now = base_lam * 2.0**escalations
-        metric = _MetricContext(k=c.k, eta=c.eta, lam=lam_now)
+    weight = gamma_weight(gamma, c.k)
+    for escalations in range(MAX_LAMBDA_DOUBLINGS + 1):
+        lam = lambda_schedule(c, weight, escalations)
+        metric = _MetricContext(k=c.k, eta=c.eta, lam=lam)
         floor = estimate_noise_floor(model, gamma, cfg, metric, nodes)
-        tol_eff = max(tol, 3.0 * floor)
+        tol_eff = _effective_tol(tol, floor)
+        inner = []
 
-        mu = Flow.constant(gamma, nodes)
-        inner_counts, inner_infos, distances, ratios = [], [], [], []
-        strikes = 0
-        failed = False
-        for _ in range(MAX_OUTER_ITER):
+        def phi(mu):
             # phi(mu) is the inner fixed point: the intermediate SDE's law drives its sigma.
-            mu_next, info = inner_solve(model, gamma, mu, cfg, lam_now, tol_eff, metric=metric)
-            inner_counts.append(info["iterations"])
-            inner_infos.append(info)
-            d = metric.rho_tilde(mu, mu_next)
-            if distances and distances[-1] > floor and d > floor:
-                r = d / distances[-1]
-                ratios.append(r)
-                strikes = strikes + 1 if r >= 1.0 else 0
-                if strikes >= NONCONTRACTION_STRIKES:
-                    failed = True
-            distances.append(d)
-            mu = mu_next
-            if failed or d < tol_eff:
-                break
-        else:
-            failed = True
+            mu_next, info = inner_solve(model, gamma, mu, cfg, lam, tol_eff, metric=metric)
+            inner.append(info)
+            return mu_next
 
-        if not failed:
-            return SolveReport(
-                solution=mu,
-                inner_iterations=tuple(inner_counts),
-                outer_iterations=len(distances),
-                contraction_history={
-                    "outer_distances": distances,
-                    "outer_ratios": ratios,
-                    "inner": inner_infos,
-                },
-                lambda_used=lam_now,
-                lambda_escalations=escalations,
-                noise_floor=floor,
-                tol_requested=tol,
-                tol_used=tol_eff,
-            )
-        escalations += 1
-        if escalations > MAX_LAMBDA_DOUBLINGS:
-            raise ConvergenceError(
-                f"no contraction up to lambda={lam_now}; "
-                "reduce the horizon or increase the particle count",
-                history=distances,
-            )
+        mu, distances, ratios, failure = _iterate(
+            phi, metric.rho_tilde, Flow.constant(gamma, nodes), tol_eff,
+            MAX_OUTER_ITER, floor)
+        if failure is None:
+            history = {"outer_distances": distances, "outer_ratios": ratios, "inner": inner}
+            return SolveReport(solution=mu, contraction_history=history, lambda_used=lam,
+                               lambda_escalations=escalations, noise_floor=floor,
+                               tol_requested=tol)
+    raise ConvergenceError(
+        f"no contraction up to lambda={lam} (outer iteration {failure}); "
+        "reduce the horizon or increase the particle count",
+        history=distances,
+    )
 
 
 def contraction_rate(history, lam: float, k: float, eta: float,

@@ -412,6 +412,14 @@ def _linear_binning(m: Measure, grid: GridSpec) -> np.ndarray:
     return hist
 
 
+def left_node(times: np.ndarray, u: float) -> int:
+    """Index of the node governing time u under left-constant interpolation."""
+    if u < times[0] - 1e-12:
+        raise DomainError(f"time {u} precedes the flow start {times[0]}")
+    i = int(np.searchsorted(times, u + 1e-12, side="right") - 1)
+    return min(max(i, 0), len(times) - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class Flow:
     """Time-indexed path of measures on a strictly increasing time grid."""
@@ -442,16 +450,9 @@ class Flow:
     def dim(self) -> int:
         return self.measures[0].dim
 
-    def index_left(self, u: float) -> int:
-        """Index of the node governing time u under left-constant interpolation."""
-        if u < self.times[0] - 1e-12:
-            raise DomainError(f"time {u} precedes the flow start {self.times[0]}")
-        i = int(np.searchsorted(self.times, u + 1e-12, side="right") - 1)
-        return min(max(i, 0), len(self.measures) - 1)
-
     def at(self, u: float) -> Measure:
         """Measure at time u (piecewise constant, left node)."""
-        return self.measures[self.index_left(u)]
+        return self.measures[left_node(self.times, u)]
 
     def covers(self, t0: float, t1: float) -> bool:
         """Whether [t0, t1] is inside the flow's reach.

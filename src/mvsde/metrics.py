@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import DomainError, NumericsError, SizeError
-from .measures import Density, Flow, Measure, resample
+from .measures import Density, Flow, Measure, left_node, resample
 
 METHOD_EXACT_1D = "exact_1d"
 METHOD_LP = "lp_oracle"
@@ -240,21 +240,42 @@ def holder_dual_bound(m1: Measure, m2: Measure, eta: float, n_funcs: int = 200,
     return DistanceReport(best, METHOD_DUAL, 0.0)
 
 
-def _check_shared_grid(f1: Flow, f2: Flow) -> None:
+def transport(a: Measure, b: Measure, k: float, eta: float) -> float:
+    """W_k + W_eta between two measures, the node distance of rho_lambda."""
+    return wasserstein(a, b, k).value + wasserstein_eta(a, b, eta).value
+
+
+def node_distances(f1: Flow, f2: Flow, dist) -> list:
+    """dist(a, b) between the measures at each node of two flows on one time grid."""
     if not f1.same_grid(f2):
         raise DomainError("flows must share one time grid")
+    return [dist(a, b) for a, b in zip(f1.measures, f2.measures)]
+
+
+def sup_discounted(times, values, lam: float) -> float:
+    """sup over time nodes of e^(-lambda t) value, the sup of the flow metrics."""
+    if lam < 0:
+        raise DomainError("lambda must be nonnegative")
+    best = 0.0
+    for t, v in zip(times, values):
+        best = max(best, math.exp(-lam * t) * v)
+    return best
+
+
+def segment_integral(times, values, s: float, t: float) -> float:
+    """integral over [s, t] of node values, each held up to the next node as in Flow.at."""
+    if t <= s:
+        raise DomainError("need s < t")
+    times = np.asarray(times, dtype=float)
+    knots = np.unique(np.concatenate([[s], times[(times > s) & (times < t)], [t]]))
+    held = np.asarray(values, dtype=float)[[left_node(times, u) for u in knots[:-1]]]
+    return float(np.sum(held * np.diff(knots)))
 
 
 def rho_lambda(f1: Flow, f2: Flow, lam: float, k: float, eta: float) -> float:
     """sup over time nodes of e^(-lambda t) (W_k + W_eta) between node measures."""
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
-    _check_shared_grid(f1, f2)
-    best = 0.0
-    for t, a, b in zip(f1.times, f1.measures, f2.measures):
-        d = wasserstein(a, b, k).value + wasserstein_eta(a, b, eta).value
-        best = max(best, math.exp(-lam * t) * d)
-    return best
+    values = node_distances(f1, f2, lambda a, b: transport(a, b, k, eta))
+    return sup_discounted(f1.times, values, lam)
 
 
 def rho_tilde_lambda(f1: Flow, f2: Flow, lam: float, k: float) -> float:
@@ -264,30 +285,13 @@ def rho_tilde_lambda(f1: Flow, f2: Flow, lam: float, k: float) -> float:
     variation saturates near 2, so the solver and the experiment harness
     estimate the variation part from shared-grid KDEs instead.
     """
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
-    _check_shared_grid(f1, f2)
-    best = 0.0
-    for t, a, b in zip(f1.times, f1.measures, f2.measures):
-        d = wasserstein(a, b, k).value + weighted_variation_atoms(a, b, k).value
-        best = max(best, math.exp(-lam * t) * d)
-    return best
+    values = node_distances(f1, f2, lambda a, b: wasserstein(a, b, k).value
+                            + weighted_variation_atoms(a, b, k).value)
+    return sup_discounted(f1.times, values, lam)
 
 
 def flow_distance_average(f1: Flow, f2: Flow, s: float, t: float,
                           k: float, eta: float) -> float:
-    """(1/(t-s)) integral over [s,t] of (W_k + W_eta)(nu1_u, nu2_u) du.
-
-    Flows are piecewise constant between nodes, making the integral a finite
-    sum over segment lengths.
-    """
-    if t <= s:
-        raise DomainError("need s < t")
-    _check_shared_grid(f1, f2)
-    knots = np.unique(np.concatenate([[s], f1.times[(f1.times > s) & (f1.times < t)], [t]]))
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        m1, m2 = f1.at(a), f2.at(a)
-        d = wasserstein(m1, m2, k).value + wasserstein_eta(m1, m2, eta).value
-        total += d * (b - a)
-    return total / (t - s)
+    """(1/(t-s)) integral over [s,t] of (W_k + W_eta)(nu1_u, nu2_u) du."""
+    values = node_distances(f1, f2, lambda a, b: transport(a, b, k, eta))
+    return segment_integral(f1.times, values, s, t) / (t - s)

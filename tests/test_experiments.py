@@ -265,3 +265,28 @@ def test_run_experiment_audits_model_before_solving(tmp_path, monkeypatch, capsy
     assert rc == 1
     assert "failed audit" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("kind, extra, pointer", [
+    ("solve", {"sim": {"n_particle": 100, "dt": 0.01, "t1": 0.1}}, "/sim/n_particle"),
+    ("regularity", {"gamma_2": {"type": "dirac", "point": [0.1]},
+                    "times": [0.02, 0.05, 0.1]}, "/gamma_2"),
+    ("duhamel", {"options": {"tv_tool": 0.1}, "sim": {"t1": 0.1}}, "/options/tv_tool"),
+])
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys, kind, extra, pointer):
+    # A misspelt key must not fall back to a default silently.
+    cfg = {"kind": kind,
+           "model": os.path.relpath(str(CONFIGS.parent / "models" / "brownian.json"), tmp_path),
+           "sim": {"t1": 0.1}}
+    cfg.update(extra)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    rc = cli.main([kind, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"error: {pointer}: unknown key" in capsys.readouterr().err
+
+
+def test_option_refuses_keys_outside_the_table():
+    cfg = parse_config(CONFIGS / "solve_arctan.json", smoke=True)
+    assert cfg.option("tol", 1.0) == 0.05
+    with pytest.raises(KeyError):
+        cfg.option("horizons", [0.1])

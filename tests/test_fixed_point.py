@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from mvsde import fixed_point
 from mvsde.coefficients import ModelConstants
-from mvsde.errors import DomainError
+from mvsde.errors import ConvergenceError, DomainError
 from mvsde.fixed_point import (
+    _iterate,
     _MetricContext,
     contraction_rate,
     gamma_weight,
@@ -211,3 +213,97 @@ def test_contraction_monotone_in_lambda(tanh_model):
 def test_solve_rejects_dim_mismatch(brownian_model):
     with pytest.raises(DomainError):
         solve_mvsde(brownian_model, Measure.dirac([0.0, 0.0]), _cfg(n=100), tol=0.1)
+
+
+def _dist(a, b):
+    return abs(a - b)
+
+
+def test_iterate_contraction_stops_under_tol():
+    x, distances, ratios, failure = _iterate(lambda x: x / 2, _dist, 1.0, 1e-3, 50, -math.inf)
+    assert failure is None
+    assert distances == [2.0 ** -i for i in range(1, 11)]
+    assert distances[-1] < 1e-3 <= distances[-2]
+    assert ratios == [0.5] * 9
+    assert x == 2.0 ** -10
+
+
+def test_iterate_expansion_fails_after_three_strikes():
+    x, distances, ratios, failure = _iterate(lambda x: 2 * x, _dist, 1.0, 1e-3, 50, -math.inf)
+    assert failure is not None and "contract" in failure
+    assert distances == [1.0, 2.0, 4.0, 8.0]
+    assert ratios == [2.0, 2.0, 2.0]
+
+
+def test_iterate_contracting_ratio_resets_strikes():
+    # Distances 1, 2, 4, 1, 2, 4, 8: the ratio 0.25 clears two strikes, so
+    # only the three ratios >= 1 after it end the loop, at sweep 7.
+    steps = iter([1.0, 2.0, 4.0, 1.0, 2.0, 4.0, 8.0])
+    _, distances, ratios, failure = _iterate(lambda x: x + next(steps), _dist, 0.0, 1e-3,
+                                             50, -math.inf)
+    assert failure is not None
+    assert len(distances) == 7
+    assert ratios == [2.0, 2.0, 0.25, 2.0, 2.0, 2.0]
+
+
+def test_iterate_sweep_limit():
+    _, distances, _, failure = _iterate(lambda x: x / 2, _dist, 1.0, 1e-12, 5, -math.inf)
+    assert failure is not None and "5 sweeps" in failure
+    assert len(distances) == 5
+
+
+def test_iterate_ratios_skip_distances_at_or_below_floor():
+    # Distances 0.5, 0.25, 0.125, ...: a ratio needs both distances above the floor.
+    for floor, expected in ((0.2, [0.5]), (0.25, []), (-math.inf, [0.5] * 9)):
+        _, _, ratios, failure = _iterate(lambda x: x / 2, _dist, 1.0, 1e-3, 50, floor)
+        assert failure is None
+        assert ratios == expected
+
+
+def test_iterate_rejects_nonpositive_tol():
+    with pytest.raises(DomainError):
+        _iterate(lambda x: x / 2, _dist, 1.0, 0.0, 50, -math.inf)
+
+
+def test_inner_failure_history_is_distances(arctan_model, monkeypatch):
+    # A psi that moves a Dirac flow from x to 2x + 1 doubles every distance:
+    # the error carries the four increasing distances, not the ratios.
+    def doubling_psi(model, gamma, mu_flow, nu_flow, cfg):
+        x = nu_flow.measures[0].points[0, 0]
+        return Flow.constant(Measure.dirac([2 * x + 1]), nu_flow.times)
+
+    monkeypatch.setattr(fixed_point, "psi_map", doubling_psi)
+    cfg = _cfg(n=100)
+    nodes = solver_grid(cfg)
+    gamma = Measure.dirac([0.0])
+    with pytest.raises(ConvergenceError) as err:
+        inner_solve(arctan_model, gamma, Flow.constant(gamma, nodes), cfg, lam=1.0, tol=1e-6)
+    history = err.value.history
+    assert len(history) == 4
+    assert all(b > a for a, b in zip(history, history[1:]))
+    assert history == pytest.approx([2.0, 4.0, 8.0, 16.0])
+
+
+def test_outer_failure_escalates_lambda_then_raises_distances(arctan_model, monkeypatch):
+    # An outer map that doubles every distance fails at each lambda; after
+    # the last doubling the error carries that attempt's outer distances.
+    lams = []
+
+    def floor(model, gamma, cfg, metric, nodes):
+        lams.append(metric.lam)
+        return 0.0
+
+    def doubling_phi(model, gamma, mu_flow, cfg, lam, tol, metric=None):
+        x = mu_flow.measures[0].points[0, 0]
+        return Flow.constant(Measure.dirac([2 * x + 1]), mu_flow.times), {"iterations": 1}
+
+    def point_distance(self, f1, f2):
+        return abs(f1.measures[0].points[0, 0] - f2.measures[0].points[0, 0])
+
+    monkeypatch.setattr(fixed_point, "estimate_noise_floor", floor)
+    monkeypatch.setattr(fixed_point, "inner_solve", doubling_phi)
+    monkeypatch.setattr(_MetricContext, "rho_tilde", point_distance)
+    with pytest.raises(ConvergenceError) as err:
+        solve_mvsde(arctan_model, Measure.dirac([0.0]), _cfg(n=100), tol=1e-6)
+    assert err.value.history == [1.0, 2.0, 4.0, 8.0]
+    assert lams == [lams[0] * 2.0**e for e in range(11)]

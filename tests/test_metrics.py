@@ -301,3 +301,30 @@ def test_transport_distances_symmetric(data):
         d12 = dist(m1, m2, p).value
         d21 = dist(m2, m1, p).value
         assert d12 == pytest.approx(d21, rel=1e-7, abs=1e-9)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_weighted_variation_atoms_symmetric_and_bounded(data):
+    # Atoms from a small lattice, so the two measures share some points and
+    # their weights partly cancel.
+    dim = data.draw(st.sampled_from([1, 2]))
+    coord = st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0])
+
+    def measure():
+        n = data.draw(st.integers(1, 6))
+        pts = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                 min_size=n, max_size=n))
+        w = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+        return Measure.from_points(np.array(pts), w)
+
+    m1, m2 = measure(), measure()
+    theta = data.draw(st.floats(0.0, 3.0))
+    d12 = metrics.weighted_variation_atoms(m1, m2, theta).value
+    d21 = metrics.weighted_variation_atoms(m2, m1, theta).value
+    assert d12 == pytest.approx(d21, rel=1e-12, abs=1e-15)
+
+    def moment(m):
+        return float(np.sum(m.weights * np.linalg.norm(m.points, axis=1) ** theta))
+
+    assert d12 <= (2.0 + moment(m1) + moment(m2)) * (1 + 1e-12)
