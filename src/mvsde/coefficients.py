@@ -73,7 +73,7 @@ class Expr:
         raise NotImplementedError
 
     def lipschitz(self) -> float:
-        """Upper bound on the space-Lipschitz constant (may be inf)."""
+        """Upper bound on the space-Lipschitz constant (finite for every op)."""
         return sum((c.lipschitz() for c in self.children), 0.0)
 
     def uses_space(self) -> bool:
@@ -473,18 +473,6 @@ def sigma_batch(model: Model, t: float, points: np.ndarray, m: Measure) -> np.nd
     return vals
 
 
-def eval_drift(model: Model, t: float, x, m: Measure) -> np.ndarray:
-    """b_t(x, m) as a length-d vector."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return drift_batch(model, t, x, m)[0]
-
-
-def eval_sigma(model: Model, t: float, x, m: Measure) -> np.ndarray:
-    """sigma_t(x, m) as a d x d matrix (scalar and diagonal specs embed into d x d)."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return sigma_batch(model, t, x, m)[0] * np.eye(model.dim)
-
-
 def diffusion_matrix_batch(model: Model, t: float, points: np.ndarray, m: Measure) -> np.ndarray:
     """sigma sigma* diagonal entries at every row; returns (n, d)."""
     return sigma_batch(model, t, points, m) ** 2 * np.ones(model.dim)
@@ -533,11 +521,11 @@ def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
     * ``a3``:         mixed second difference of sigma sigma* over
       |x-y|^beta (W_eta + W_k)
 
-    Ellipticity and the drift bound are checked at every sample.  The audit
-    also sets the structural flags deciding which regularity route the model
-    supports: ``sigma_space_free`` (diffusion blind to the state variable)
-    and ``sigma_wk_lipschitz`` (all diffusion functionals state-Lipschitz,
-    hence W_k-controlled).
+    Ellipticity and the drift bound are checked at every sample.  The report
+    also records structural flags of the model, read off its expression
+    trees rather than sampled: ``sigma_space_free`` (diffusion blind to the
+    state variable) and ``sigma_wk_lipschitz`` (all diffusion functionals
+    state-Lipschitz, hence W_k-controlled).
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")

@@ -382,15 +382,3 @@ def remainder_R(model: Model, mu_flow: Flow, nu_flow: Flow, p_table: DuhamelGrid
             f"> {rtol} * |R| + {atol}"
         )
     return r2
-
-
-def remainder_drift_only(model: Model, mu_flow: Flow, nu_flow: Flow,
-                         p_table: DuhamelGrid, f, s: float, t: float,
-                         u_nodes: int = 28, check: bool = True,
-                         rtol: float = 1e-3, atol: float = 1e-9) -> float:
-    """Drift-only remainder: :func:`remainder_R` when sigma ignores the state (no trace term)."""
-    _require_1d_scalar(model)
-    if not model.sigma_space_free:
-        raise DomainError("remainder_drift_only requires a state-free diffusion")
-    return remainder_R(model, mu_flow, nu_flow, p_table, f, s, t, u_nodes=u_nodes,
-                       check=check, rtol=rtol, atol=atol)

@@ -34,6 +34,13 @@ from .sde_engine import SimConfig, simulate_frozen
 KINDS = ("audit", "solve", "regularity", "gradient", "stability", "duhamel")
 TOP_KEYS = ("kind", "model", "gamma1", "gamma2", "times", "sim", "options")
 SIM_KEYS = ("n_particles", "dt", "t0", "t1", "seed", "crn")
+# Measure spec keys besides "type", per type: (required, optional).
+MEASURE_KEYS = {
+    "dirac": (("point",), ()),
+    "atoms": (("points",), ("weights",)),
+    "normal": (("mean", "std", "n"), ("seed",)),
+    "csv": (("path",), ()),
+}
 
 SMOKE_PARTICLES = 1000
 SMOKE_MC_PARTICLES = 10_000
@@ -165,32 +172,48 @@ def _reject_unknown_keys(raw, allowed, pointer: str) -> None:
             raise ConfigError(f"unknown key; expected one of {allowed}", f"{pointer}/{key}")
 
 
-def _measure_from_spec(spec, pointer: str) -> Measure:
+def _config_relative(config_path, path) -> str:
+    """path itself if absolute, else resolved against the config file's directory."""
+    if os.path.isabs(path):
+        return path
+    return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(config_path)), path))
+
+
+def _int_field(spec, key: str, pointer: str, lo: int) -> int:
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise ConfigError(f"must be an integer >= {lo}, got {value!r}", f"{pointer}/{key}")
+    return value
+
+
+def _measure_from_spec(spec, pointer: str, config_path) -> Measure:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("measure spec must be an object with a 'type' field", pointer)
     kind = spec["type"]
+    if kind not in MEASURE_KEYS:
+        raise ConfigError(f"unknown measure type {kind!r}", pointer + "/type")
+    required, optional = MEASURE_KEYS[kind]
+    _reject_unknown_keys(spec, ("type",) + required + optional, pointer)
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"{kind} spec needs {key!r}", f"{pointer}/{key}")
     if kind == "dirac":
-        if "point" not in spec:
-            raise ConfigError("dirac spec needs 'point'", pointer + "/point")
         return Measure.dirac(np.asarray(spec["point"], dtype=float))
     if kind == "atoms":
-        if "points" not in spec:
-            raise ConfigError("atoms spec needs 'points'", pointer + "/points")
         return Measure.from_points(np.asarray(spec["points"], dtype=float),
                                    spec.get("weights"))
     if kind == "normal":
-        for key in ("mean", "std", "n"):
-            if key not in spec:
-                raise ConfigError(f"normal spec needs {key!r}", f"{pointer}/{key}")
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
+        n = _int_field(spec, "n", pointer, 1)
+        seed = _int_field(spec, "seed", pointer, 0) if "seed" in spec else 0
+        rng = np.random.default_rng(seed)
         mean = np.atleast_1d(np.asarray(spec["mean"], dtype=float))
-        pts = mean + float(spec["std"]) * rng.standard_normal((int(spec["n"]), len(mean)))
+        pts = mean + float(spec["std"]) * rng.standard_normal((n, len(mean)))
         return Measure.from_points(pts)
-    if kind == "csv":
-        if "path" not in spec:
-            raise ConfigError("csv spec needs 'path'", pointer + "/path")
-        return Measure.from_csv(spec["path"])
-    raise ConfigError(f"unknown measure type {kind!r}", pointer + "/type")
+    path = _config_relative(config_path, spec["path"])
+    try:
+        return Measure.from_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read measure CSV {path}: {exc}", pointer + "/path") from exc
 
 
 def parse_config(path, kind: str | None = None, seed: int | None = None,
@@ -214,17 +237,14 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
                           "/kind")
     if "model" not in raw:
         raise ConfigError("missing model file path", "/model")
-    model_path = raw["model"]
-    if not os.path.isabs(model_path):
-        model_path = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)),
-                                                   model_path))
+    model_path = _config_relative(path, raw["model"])
     if not os.path.exists(model_path):
         raise ConfigError(f"model file does not exist: {model_path}", "/model")
     model = load_model(model_path)
 
     gamma1 = _measure_from_spec(raw.get("gamma1", {"type": "dirac", "point": [0.0] * model.dim}),
-                                "/gamma1")
-    gamma2 = _measure_from_spec(raw["gamma2"], "/gamma2") if "gamma2" in raw else None
+                                "/gamma1", path)
+    gamma2 = _measure_from_spec(raw["gamma2"], "/gamma2", path) if "gamma2" in raw else None
 
     times = None
     if "times" in raw:

@@ -259,23 +259,3 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig,
         "reduce the horizon or increase the particle count",
         history=distances,
     )
-
-
-def contraction_rate(history, lam: float, k: float, eta: float,
-                     floor: float = 0.0):
-    """Per-iteration distance ratios of a flow iterate sequence.
-
-    Truncates once a denominator falls to the noise floor (converged).
-    """
-    flows = list(history)
-    if len(flows) < 3:
-        raise DomainError("need at least 3 iterates to measure contraction")
-    dists = [
-        metrics.rho_lambda(a, b, lam, k, eta) for a, b in zip(flows[:-1], flows[1:])
-    ]
-    ratios = []
-    for prev, curr in zip(dists[:-1], dists[1:]):
-        if prev <= max(floor, 1e-300):
-            break
-        ratios.append(curr / prev)
-    return ratios

@@ -245,8 +245,9 @@ def perturbation_integral_g2(model: Model, flow1: Flow, flow2: Flow, z,
     """Quadrature of integral |grad^i q^{z,nu1} - grad^i q^{z,nu2}| |y-x|^eps dy.
 
     Componentwise kernel difference before taking norms (Euclidean for the
-    gradient, Frobenius for the Hessian).  The flow-distance driver that the
-    verification compares against is :func:`mvsde.metrics.flow_distance_average`.
+    gradient, Frobenius for the Hessian).  The verification compares it
+    against the time average over [s, t] of W_k + W_eta between the two flows
+    (:func:`mvsde.metrics.transport` at each node).
     """
     if i not in (0, 1, 2):
         raise DomainError("derivative order i must be 0, 1, or 2")

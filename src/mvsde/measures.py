@@ -158,15 +158,6 @@ def moment_k(m: Measure, k: float) -> float:
     return s ** (1.0 / k) if k >= 1 else s
 
 
-def integrate(m: Measure, f) -> float:
-    """Empirical integral sum(w_i * f(x_i)); f maps a length-d vector to a scalar."""
-    vals = np.array([float(f(p)) for p in m.points])
-    if not np.all(np.isfinite(vals)):
-        bad = m.points[~np.isfinite(vals)][0]
-        raise NumericsError(f"integrand returned a non-finite value at {bad}")
-    return float(np.sum(m.weights * vals))
-
-
 def resample(m: Measure, n: int, seed: int) -> Measure:
     """Systematic (low-variance) resampling to n equal-weight particles."""
     if n < 1:

@@ -24,7 +24,6 @@ from .measures import Density, Flow, Measure, left_node, resample
 
 METHOD_EXACT_1D = "exact_1d"
 METHOD_LP = "lp_oracle"
-METHOD_DUAL = "dual_bound"
 METHOD_GRID = "grid_l1"
 
 LP_BUDGET = 10_000          # max n*m for the exact LP solver
@@ -213,33 +212,6 @@ def weighted_variation_atoms(m1: Measure, m2: Measure, theta: float = 0.0) -> Di
     return DistanceReport(val, METHOD_EXACT_1D, 0.0)
 
 
-def holder_dual_bound(m1: Measure, m2: Measure, eta: float, n_funcs: int = 200,
-                      seed: int = 0) -> DistanceReport:
-    """Lower bound on W_eta from random c-transform test functions.
-
-    Each test function f(z) = min_j (p_j + |z - a_j|^eta) is eta-Hoelder with
-    seminorm <= 1, so |m1(f) - m2(f)| <= W_eta by duality.
-    """
-    if not 0 < eta <= 1:
-        raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    rng = np.random.default_rng(seed)
-    anchors_pool = np.concatenate([m1.points, m2.points], axis=0)
-    best = 0.0
-    for _ in range(n_funcs):
-        n_anchor = rng.integers(1, min(6, len(anchors_pool)) + 1)
-        idx = rng.choice(len(anchors_pool), size=n_anchor, replace=False)
-        a = anchors_pool[idx]
-        p = rng.normal(scale=1.0, size=n_anchor)
-
-        def f(x):
-            return np.min(p + np.linalg.norm(x[None, :] - a, axis=1) ** eta)
-
-        v1 = sum(w * f(x) for w, x in zip(m1.weights, m1.points))
-        v2 = sum(w * f(x) for w, x in zip(m2.weights, m2.points))
-        best = max(best, abs(v1 - v2))
-    return DistanceReport(best, METHOD_DUAL, 0.0)
-
-
 def transport(a: Measure, b: Measure, k: float, eta: float) -> float:
     """W_k + W_eta between two measures, the node distance of rho_lambda."""
     return wasserstein(a, b, k).value + wasserstein_eta(a, b, eta).value
@@ -276,22 +248,3 @@ def rho_lambda(f1: Flow, f2: Flow, lam: float, k: float, eta: float) -> float:
     """sup over time nodes of e^(-lambda t) (W_k + W_eta) between node measures."""
     values = node_distances(f1, f2, lambda a, b: transport(a, b, k, eta))
     return sup_discounted(f1.times, values, lam)
-
-
-def rho_tilde_lambda(f1: Flow, f2: Flow, lam: float, k: float) -> float:
-    """sup over time nodes of e^(-lambda t) (W_k + ||.||_{k,var}), atom-exact variation.
-
-    Meaningful on constructed atomic flows; between simulated laws the atom
-    variation saturates near 2, so the solver and the experiment harness
-    estimate the variation part from shared-grid KDEs instead.
-    """
-    values = node_distances(f1, f2, lambda a, b: wasserstein(a, b, k).value
-                            + weighted_variation_atoms(a, b, k).value)
-    return sup_discounted(f1.times, values, lam)
-
-
-def flow_distance_average(f1: Flow, f2: Flow, s: float, t: float,
-                          k: float, eta: float) -> float:
-    """(1/(t-s)) integral over [s,t] of (W_k + W_eta)(nu1_u, nu2_u) du."""
-    values = node_distances(f1, f2, lambda a, b: transport(a, b, k, eta))
-    return segment_integral(f1.times, values, s, t) / (t - s)

@@ -99,12 +99,12 @@ def _schedule(cfg: SimConfig, record_times: np.ndarray) -> np.ndarray:
 
 
 def simulate_frozen(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
-                    cfg: SimConfig, record_times=None) -> Flow:
+                    cfg: SimConfig, record_times) -> Flow:
     """Euler-Maruyama for X' = b(X, mu_t) dt + sigma(X, nu_t) dW on [t0, t1].
 
-    Returns the empirical law at every requested record time (default: the
-    nu-flow nodes inside [t0, t1], always including t0).  Deterministic,
-    and bit-identical across runs sharing (seed, schedule) when crn is set.
+    Returns the empirical law at every record time, each in [t0, t1].
+    Deterministic, and bit-identical across runs sharing (seed, schedule)
+    when crn is set.
     """
     if init.dim != model.dim:
         raise DomainError(f"initial dimension {init.dim} != model dimension {model.dim}")
@@ -117,16 +117,12 @@ def simulate_frozen(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
                 f"[{cfg.t0}, {cfg.t1}]"
             )
 
-    if record_times is None:
-        rt = nu_flow.times[(nu_flow.times >= cfg.t0 - _TIME_TOL) & (nu_flow.times <= cfg.t1 + _TIME_TOL)]
-        rt = np.union1d(rt, [cfg.t0])
-    else:
-        rt = np.asarray(record_times, dtype=float).ravel()
-        if rt.size == 0:
-            raise DomainError("record_times must be non-empty")
-        if rt.min() < cfg.t0 - _TIME_TOL or rt.max() > cfg.t1 + _TIME_TOL:
-            raise DomainError("record_times must lie within [t0, t1]")
-        rt = np.unique(rt)
+    rt = np.asarray(record_times, dtype=float).ravel()
+    if rt.size == 0:
+        raise DomainError("record_times must be non-empty")
+    if rt.min() < cfg.t0 - _TIME_TOL or rt.max() > cfg.t1 + _TIME_TOL:
+        raise DomainError("record_times must lie within [t0, t1]")
+    rt = np.unique(rt)
 
     grid = _schedule(cfg, rt)
     extra = 0 if cfg.crn else _content_digest(init, mu_flow, nu_flow)
@@ -157,61 +153,3 @@ def simulate_frozen(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
 
     times = np.array(sorted(laws.keys()))
     return Flow(times, tuple(laws[t] for t in times))
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Fitted displacement-moment law E|X_t - X_{t0}|^p ~ C (t - t0)^alpha."""
-
-    p: float
-    times: np.ndarray
-    moments: np.ndarray
-    alpha: float
-    C: float
-    alpha_floor: float
-
-    @property
-    def passed(self) -> bool:
-        return self.alpha >= self.alpha_floor
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p, "times": self.times.tolist(), "moments": self.moments.tolist(),
-            "alpha": self.alpha, "C": self.C, "alpha_floor": self.alpha_floor,
-            "passed": self.passed,
-        }
-
-
-def moment_check_nnt(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
-                     cfg: SimConfig, p: float, record_times=None,
-                     tolerance: float = 0.1) -> MomentReport:
-    """Fit C, alpha in E|X_{t0,t} - X_{t0}|^p <= C (t - t0)^alpha.
-
-    The boundedness of the coefficients forces alpha >= p/2; the report
-    flags whether the fitted exponent clears p/2 - tolerance.  Record times
-    default to eight log-spaced horizons resolved by the step size.
-    """
-    if p <= 0:
-        raise DomainError("moment order p must be positive")
-    span = cfg.t1 - cfg.t0
-    if record_times is None:
-        lo = max(8 * cfg.dt, span * 1e-3)
-        record_times = cfg.t0 + np.geomspace(lo, span, 8)
-    rt = np.union1d(np.asarray(record_times, dtype=float), [cfg.t0])
-    flow = simulate_frozen(model, mu_flow, nu_flow, init, cfg, record_times=rt)
-    x0 = flow.measures[0].points
-    times, moments = [], []
-    for t, m in zip(flow.times, flow.measures):
-        if t <= cfg.t0 + _TIME_TOL:
-            continue
-        disp = np.linalg.norm(m.points - x0, axis=1)
-        times.append(t - cfg.t0)
-        moments.append(float(np.mean(disp**p)))
-    times = np.array(times)
-    moments = np.array(moments)
-    slope, intercept = np.polyfit(np.log(times), np.log(moments), 1)
-    return MomentReport(
-        p=p, times=times, moments=moments,
-        alpha=float(slope), C=float(math.exp(intercept)),
-        alpha_floor=p / 2 - tolerance,
-    )

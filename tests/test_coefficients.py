@@ -10,8 +10,6 @@ from mvsde import cli, metrics
 from mvsde.coefficients import (
     Model,
     drift_batch,
-    eval_drift,
-    eval_sigma,
     lipschitz_audit,
     load_model,
     sigma_batch,
@@ -23,20 +21,20 @@ from conftest import MODELS
 
 def test_eval_drift_examples(brownian_model, arctan_model):
     mu = Measure.dirac([2.0])
-    assert np.allclose(eval_drift(brownian_model, 0.0, [0.3], mu), 0.0)
-    b = eval_drift(arctan_model, 0.1, [0.0], mu)
+    assert np.allclose(drift_batch(brownian_model, 0.0, [[0.3]], mu)[0], 0.0)
+    b = drift_batch(arctan_model, 0.1, [[0.0]], mu)[0]
     assert b[0] == pytest.approx(math.atan(2.0), abs=1e-12)
     assert b[0] == pytest.approx(1.10715, abs=1e-5)
 
 
 def test_eval_sigma_examples(brownian_model, tanh_model):
     mu0 = Measure.dirac([0.0])
-    assert np.allclose(eval_sigma(brownian_model, 0.0, [0.0], mu0), np.eye(1))
+    assert np.allclose(sigma_batch(brownian_model, 0.0, [[0.0]], mu0)[0], 1.0)
     # h(0) = 0, tanh 0 = 0 -> identity
-    assert np.allclose(eval_sigma(tanh_model, 0.0, [0.0], mu0), np.eye(1))
-    s3 = eval_sigma(tanh_model, 0.0, [0.0], Measure.dirac([3.0]))
-    assert s3[0, 0] == pytest.approx(1.0 + 0.5 * math.tanh(1.0), abs=1e-12)
-    assert s3[0, 0] == pytest.approx(1.3808, abs=1e-4)
+    assert np.allclose(sigma_batch(tanh_model, 0.0, [[0.0]], mu0)[0], 1.0)
+    s3 = sigma_batch(tanh_model, 0.0, [[0.0]], Measure.dirac([3.0]))[0]
+    assert s3[0] == pytest.approx(1.0 + 0.5 * math.tanh(1.0), abs=1e-12)
+    assert s3[0] == pytest.approx(1.3808, abs=1e-4)
 
 
 def test_drift_measure_lipschitz_bound(arctan_model):
@@ -47,8 +45,8 @@ def test_drift_measure_lipschitz_bound(arctan_model):
     for _ in range(200):
         m1 = Measure.from_points(rng.uniform(-3, 3, (8, 1)), rng.uniform(0.2, 1, 8))
         m2 = Measure.from_points(rng.uniform(-3, 3, (8, 1)), rng.uniform(0.2, 1, 8))
-        num = abs(eval_drift(arctan_model, 0.0, [0.0], m1)[0]
-                  - eval_drift(arctan_model, 0.0, [0.0], m2)[0])
+        num = abs(drift_batch(arctan_model, 0.0, [[0.0]], m1)[0, 0]
+                  - drift_batch(arctan_model, 0.0, [[0.0]], m2)[0, 0])
         den = (metrics.weighted_variation_atoms(m1, m2, 1.0).value
                + metrics.wasserstein(m1, m2, 1.0).value)
         worst = max(worst, num / den)
@@ -93,7 +91,7 @@ def test_spectrum_violation_raises():
                       "b_sup": 0.0, "grad_sigma_bound": 0.0},
     })
     with pytest.raises(AuditError):
-        eval_sigma(bad, 0.0, [0.0], Measure.dirac([0.0]))
+        sigma_batch(bad, 0.0, [[0.0]], Measure.dirac([0.0]))
 
 
 def test_b_sup_violation_raises():
@@ -105,7 +103,7 @@ def test_b_sup_violation_raises():
                       "b_sup": 0.5, "grad_sigma_bound": 0.0},
     })
     with pytest.raises(AuditError):
-        eval_drift(bad, 0.0, [0.0], Measure.dirac([0.0]))
+        drift_batch(bad, 0.0, [[0.0]], Measure.dirac([0.0]))
 
 
 def test_audit_failure_reports_witness():
@@ -158,12 +156,12 @@ def test_integral_nesting_rejected():
 def test_eval_determinism(mixed_model):
     rng = np.random.default_rng(1)
     mu = Measure.from_points(rng.normal(size=(20, 1)))
-    x = [0.3]
-    a = eval_drift(mixed_model, 0.2, x, mu)
-    b = eval_drift(mixed_model, 0.2, x, mu)
+    x = [[0.3]]
+    a = drift_batch(mixed_model, 0.2, x, mu)
+    b = drift_batch(mixed_model, 0.2, x, mu)
     assert np.array_equal(a, b)
-    s1 = eval_sigma(mixed_model, 0.2, x, mu)
-    s2 = eval_sigma(mixed_model, 0.2, x, mu)
+    s1 = sigma_batch(mixed_model, 0.2, x, mu)
+    s2 = sigma_batch(mixed_model, 0.2, x, mu)
     assert np.array_equal(s1, s2)
 
 

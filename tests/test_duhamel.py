@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mvsde.duhamel import remainder_R, remainder_drift_only, solve_density
+from mvsde.duhamel import remainder_R, solve_density
 from mvsde.errors import DomainError, NumericsError, QuadratureError
 from mvsde.measures import Flow, Measure
 from mvsde.sde_engine import SimConfig, simulate_frozen
@@ -91,7 +91,6 @@ def test_remainder_zero_without_drift_or_trace(brownian_model):
     grid = solve_density(brownian_model, f, f, 0.0, 0.0, 0.25, cells=512)
     assert remainder_R(brownian_model, f, f, grid, lambda z: z, 0.0, 0.25) == 0.0
     assert remainder_R(brownian_model, f, f, grid, lambda z: np.ones_like(z), 0.0, 0.25) == 0.0
-    assert remainder_drift_only(brownian_model, f, f, grid, lambda z: z, 0.0, 0.25) == 0.0
 
 
 def test_remainder_constant_drift_mean_shift(const_drift_model, const_drift_grid):
@@ -102,21 +101,6 @@ def test_remainder_constant_drift_mean_shift(const_drift_model, const_drift_grid
     val_half = remainder_R(const_drift_model, f, f, const_drift_grid,
                            lambda z: z, 0.0, 0.125)
     assert val_half == pytest.approx(0.125, abs=1e-5)
-
-
-def test_remainder_drift_only_agreement(const_drift_model, const_drift_grid):
-    f = _flow()
-    full = remainder_R(const_drift_model, f, f, const_drift_grid, lambda z: z, 0.0, 0.25)
-    drift = remainder_drift_only(const_drift_model, f, f, const_drift_grid,
-                                 lambda z: z, 0.0, 0.25)
-    assert abs(full - drift) <= 1e-8
-
-
-def test_remainder_drift_only_requires_space_free(space_sigma_model, space_sigma_grid):
-    f = _flow()
-    with pytest.raises(DomainError):
-        remainder_drift_only(space_sigma_model, f, f, space_sigma_grid,
-                             lambda z: z, 0.0, 0.25)
 
 
 def test_remainder_test_function_errors_propagate(const_drift_model, const_drift_grid):
@@ -145,8 +129,8 @@ def test_remainder_rejects_non_finite_test_function(const_drift_model, const_dri
                     lambda z: np.where(z > 0.5, np.inf, z), 0.0, 0.25)
     # The point-by-point path is checked too (the comparison is scalar-only).
     with pytest.raises(NumericsError):
-        remainder_drift_only(const_drift_model, f, f, const_drift_grid,
-                             lambda z: math.nan if z > 0.5 else z, 0.0, 0.25)
+        remainder_R(const_drift_model, f, f, const_drift_grid,
+                    lambda z: math.nan if z > 0.5 else z, 0.0, 0.25)
 
 
 def test_remainder_trace_term_small_against_one(space_sigma_model, space_sigma_grid):

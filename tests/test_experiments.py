@@ -16,8 +16,8 @@ from mvsde.experiments import (
     run_gradient,
     shared_grid_tv,
 )
-from mvsde.fixed_point import solve_mvsde
-from mvsde.measures import Measure
+from mvsde.fixed_point import SolveReport, solve_mvsde
+from mvsde.measures import Flow, Measure
 from mvsde.sde_engine import SimConfig, simulate_frozen
 from conftest import CONFIGS
 
@@ -272,6 +272,12 @@ def test_run_experiment_audits_model_before_solving(tmp_path, monkeypatch, capsy
     ("regularity", {"gamma_2": {"type": "dirac", "point": [0.1]},
                     "times": [0.02, 0.05, 0.1]}, "/gamma_2"),
     ("duhamel", {"options": {"tv_tool": 0.1}, "sim": {"t1": 0.1}}, "/options/tv_tool"),
+    ("solve", {"gamma1": {"type": "atoms", "points": [[0.0], [1.0]], "weigths": [0.9, 0.1]}},
+     "/gamma1/weigths"),
+    ("solve", {"gamma1": {"type": "dirac", "point": [0.0], "points": [[1.0]]}}, "/gamma1/points"),
+    ("regularity", {"gamma2": {"type": "normal", "mean": [0.0], "std": 1.0, "n": 10, "sed": 3},
+                    "times": [0.02, 0.05, 0.1]}, "/gamma2/sed"),
+    ("solve", {"gamma1": {"type": "csv", "path": "law.csv", "weights": [1.0]}}, "/gamma1/weights"),
 ])
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, kind, extra, pointer):
     # A misspelt key must not fall back to a default silently.
@@ -290,3 +296,65 @@ def test_option_refuses_keys_outside_the_table():
     assert cfg.option("tol", 1.0) == 0.05
     with pytest.raises(KeyError):
         cfg.option("horizons", [0.1])
+
+
+def _gamma_config(tmp_path, gamma1):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "kind": "solve",
+        "model": os.path.relpath(str(CONFIGS.parent / "models" / "brownian.json"), tmp_path),
+        "gamma1": gamma1,
+        "sim": {"t1": 0.1},
+    }))
+    return cfg_path
+
+
+@pytest.mark.parametrize("key, value", [("n", 10.7), ("n", 0), ("n", True),
+                                        ("seed", 1.5), ("seed", -1)])
+def test_normal_spec_needs_integer_n_and_seed(tmp_path, key, value):
+    spec = {"type": "normal", "mean": [0.0], "std": 1.0, "n": 10}
+    spec[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(_gamma_config(tmp_path, spec))
+    assert err.value.pointer == f"/gamma1/{key}"
+
+
+def test_csv_spec_resolves_against_config_dir(tmp_path, monkeypatch):
+    law = Measure.from_points([[0.0], [1.0], [3.0]], [0.5, 0.25, 0.25])
+    law.to_csv(str(tmp_path / "law.csv"))
+    monkeypatch.chdir(CONFIGS)  # the path is relative to the config, not to the cwd
+    cfg = parse_config(_gamma_config(tmp_path, {"type": "csv", "path": "law.csv"}))
+    assert np.array_equal(cfg.gamma1.points, law.points)
+    assert np.array_equal(cfg.gamma1.weights, law.weights)
+
+
+def test_csv_spec_missing_file_exits_1(tmp_path, capsys):
+    cfg_path = _gamma_config(tmp_path, {"type": "csv", "path": "missing.csv"})
+    rc = cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: /gamma1/path: cannot read measure CSV")
+    assert str(tmp_path / "missing.csv") in err
+
+
+@pytest.mark.parametrize("outer_ratio, code", [(0.8, 0), (1.2, 2)])
+def test_ratios_below_one_catches_an_expanding_sweep(tmp_path, monkeypatch, outer_ratio, code):
+    # Falsifier: a solve whose outer iteration expanded once must fail
+    # ratios_below_one (exit 2) even though it converged.
+    def expanding_solve(model, gamma, sim, tol):
+        history = {"outer_distances": [0.5, 0.01], "outer_ratios": [outer_ratio],
+                   "inner": [{"iterations": 2, "ratios": [0.3]}]}
+        return SolveReport(solution=Flow.constant(gamma, [0.0, sim.t1]),
+                           contraction_history=history, lambda_used=1.0,
+                           lambda_escalations=0, noise_floor=0.0, tol_requested=tol)
+
+    monkeypatch.setattr(experiments, "solve_mvsde", expanding_solve)
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", str(CONFIGS / "solve_arctan.json"),
+                   "--out", str(out), "--smoke"])
+    assert rc == code
+    converged, below_one = json.loads((out / "summary.json").read_text())["assertions"]
+    assert converged["name"] == "converged" and converged["passed"] is True
+    assert below_one["name"] == "ratios_below_one"
+    assert below_one["passed"] is (code == 0)
+    assert below_one["value"] == max(outer_ratio, 0.3)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mvsde import fixed_point
+from mvsde import fixed_point, metrics
 from mvsde.coefficients import ModelConstants
 from mvsde.errors import ConvergenceError, DomainError
 from mvsde.fixed_point import (
     _iterate,
     _MetricContext,
-    contraction_rate,
     gamma_weight,
     inner_solve,
     lambda_schedule,
@@ -60,25 +59,6 @@ def test_solve_ragged_horizon_ends_at_t1(arctan_model):
     assert solver_grid(cfg)[-1] == 0.0625
     rep = solve_mvsde(arctan_model, Measure.dirac([1.0]), cfg)
     assert rep.solution.times[-1] == 0.0625
-
-
-def test_contraction_rate_synthetic_half():
-    # Flows at dyadic points: every distance halves exactly.
-    times = [0.0]
-    flows = [Flow.constant(Measure.dirac([2.0 ** (-i)]), times) for i in range(6)]
-    ratios = contraction_rate(flows, lam=0.0, k=1.0, eta=1.0)
-    assert np.allclose(ratios, 0.5, atol=1e-9)
-    with pytest.raises(DomainError):
-        contraction_rate(flows[:2], 0.0, 1.0, 1.0)
-
-
-def test_contraction_rate_floor_truncation():
-    times = [0.0]
-    xs = [1.0, 0.5, 0.25, 0.2499999, 0.24999989]
-    flows = [Flow.constant(Measure.dirac([x]), times) for x in xs]
-    ratios = contraction_rate(flows, 0.0, 1.0, 1.0, floor=1e-3)
-    # series stops once the previous distance is at the floor
-    assert len(ratios) == 2
 
 
 def test_psi_nu_independent_for_distribution_free_sigma(arctan_model):
@@ -204,8 +184,9 @@ def test_contraction_monotone_in_lambda(tanh_model):
     thin = [f.resampled(256, 411) for f in history]
     ratios = []
     for lam in (lam_hat, 2 * lam_hat, 4 * lam_hat):
-        r = contraction_rate(thin, lam, 1.0, 1.0)
-        ratios.append(r[0])
+        d01 = metrics.rho_lambda(thin[0], thin[1], lam, 1.0, 1.0)
+        d12 = metrics.rho_lambda(thin[1], thin[2], lam, 1.0, 1.0)
+        ratios.append(d12 / d01)
     assert ratios[1] <= ratios[0] * 1.1
     assert ratios[2] <= ratios[1] * 1.1
 

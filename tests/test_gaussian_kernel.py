@@ -261,11 +261,12 @@ def test_g2_linear_in_perturbation(mean_sigma_model):
 
 def test_g2_bounded_by_flow_distance_driver(mean_sigma_model):
     # The perturbation integral stays below a stable multiple of
-    # (t-s)^((eps-i)/2) times the average flow distance.
+    # (t-s)^((eps-i)/2) times the average flow distance, which for constant
+    # flows is the distance W_1 + W_eta between their measures.
     tau = 0.25
-    f1 = Flow.constant(Measure.dirac([1.0]), [0.0])
-    f2 = Flow.constant(Measure.dirac([1.05]), [0.0])
-    driver = metrics.flow_distance_average(f1, f2, 0.0, tau, 1.0, 1.0)
+    m1, m2 = Measure.dirac([1.0]), Measure.dirac([1.05])
+    f1, f2 = Flow.constant(m1, [0.0]), Flow.constant(m2, [0.0])
+    driver = metrics.transport(m1, m2, 1.0, 1.0)
     for i in (0, 1):
         val = perturbation_integral_g2(mean_sigma_model, f1, f2, [0.0], 0.0, tau, i, 0.0)
         bound_shape = tau ** ((-i) / 2.0) * driver

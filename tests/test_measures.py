@@ -14,7 +14,6 @@ from mvsde.measures import (
     GridSpec,
     Measure,
     auto_grid,
-    integrate,
     moment_k,
     pooled_grid,
     resample,
@@ -49,25 +48,6 @@ def test_moment_examples():
     assert moment_k(two, 0.5) == pytest.approx(0.5 * math.sqrt(2.0), abs=1e-15)
     with pytest.raises(DomainError):
         moment_k(two, -1.0)
-
-
-def test_integrate_examples_and_linearity():
-    two = Measure.from_points([[0.0], [2.0]])
-    assert integrate(two, lambda x: 1.0) == pytest.approx(1.0)
-    assert integrate(Measure.dirac([3.0]), lambda x: abs(x[0])) == pytest.approx(3.0)
-    assert integrate(two, lambda x: x[0] ** 2) == pytest.approx(2.0)
-
-    rng = np.random.default_rng(0)
-    m = Measure.from_points(rng.normal(size=(40, 2)), rng.uniform(0.1, 1, 40))
-    f = lambda x: math.sin(x[0])
-    g = lambda x: x[1] ** 2
-    for a, b in [(1.0, 1.0), (-2.5, 0.3)]:
-        lhs = integrate(m, lambda x: a * f(x) + b * g(x))
-        rhs = a * integrate(m, f) + b * integrate(m, g)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    with pytest.raises(NumericsError):
-        integrate(two, lambda x: float("inf"))
 
 
 def test_resample_examples():

@@ -6,7 +6,7 @@ import pytest
 from mvsde import metrics
 from mvsde.errors import DomainError
 from mvsde.measures import Flow, Measure
-from mvsde.sde_engine import SimConfig, moment_check_nnt, simulate_frozen, step_times
+from mvsde.sde_engine import SimConfig, simulate_frozen, step_times
 
 
 def _const_flow(x=0.0):
@@ -48,8 +48,11 @@ def test_brownian_law(brownian_model):
 def test_determinism_bit_identical(brownian_model):
     cfg = SimConfig(5000, 1e-2, 0.0, 0.2, seed=17)
     flow = _const_flow()
-    a = simulate_frozen(brownian_model, flow, flow, Measure.dirac([0.0]), cfg)
-    b = simulate_frozen(brownian_model, flow, flow, Measure.dirac([0.0]), cfg)
+    a = simulate_frozen(brownian_model, flow, flow, Measure.dirac([0.0]), cfg,
+                        record_times=[0.0, 0.1, 0.2])
+    b = simulate_frozen(brownian_model, flow, flow, Measure.dirac([0.0]), cfg,
+                        record_times=[0.0, 0.1, 0.2])
+    assert len(a.measures) == 3
     assert all(np.array_equal(x.points, y.points) for x, y in zip(a.measures, b.measures))
 
 
@@ -82,7 +85,8 @@ def test_flow_coverage_gap_raises(brownian_model):
     short = Flow([0.0, 0.1], (Measure.dirac([0.0]), Measure.dirac([0.0])))
     cfg = SimConfig(100, 1e-2, 0.0, 0.5, seed=0)
     with pytest.raises(DomainError):
-        simulate_frozen(brownian_model, short, short, Measure.dirac([0.0]), cfg)
+        simulate_frozen(brownian_model, short, short, Measure.dirac([0.0]), cfg,
+                        record_times=[0.5])
 
 
 def test_record_times_validation(brownian_model):
@@ -139,30 +143,41 @@ def test_particle_count_self_consistency(brownian_model):
     assert a <= 2.0 * b + 0.005
 
 
+def _moment_fit(model, x, cfg, ps):
+    """Fit E|X_t - X_0|^p ~ C t^alpha by OLS in log-log over eight log-spaced
+    horizons up to t1, under constant flows at x from a Dirac at x.
+
+    Returns {p: (alpha, C)}.  Bounded coefficients force alpha >= p/2.
+    """
+    flow = _const_flow(x)
+    horizons = np.geomspace(max(8 * cfg.dt, cfg.t1 * 1e-3), cfg.t1, 8)
+    out = simulate_frozen(model, flow, flow, Measure.dirac([x]), cfg,
+                          record_times=np.union1d(horizons, [0.0]))
+    x0 = out.measures[0].points
+    disp = [np.linalg.norm(m.points - x0, axis=1) for m in out.measures[1:]]
+    fits = {}
+    for p in ps:
+        moments = [float(np.mean(d**p)) for d in disp]
+        alpha, log_c = np.polyfit(np.log(out.times[1:]), np.log(moments), 1)
+        fits[p] = (float(alpha), math.exp(log_c))
+    return fits
+
+
 def test_moment_check_brownian(brownian_model):
-    flow = _const_flow()
     cfg = SimConfig(100_000, 1e-3, 0.0, 0.25, seed=5)
-    rep2 = moment_check_nnt(brownian_model, flow, flow, Measure.dirac([0.0]), cfg, p=2)
-    assert abs(rep2.alpha - 1.0) <= 0.05
-    assert rep2.passed
-    rep4 = moment_check_nnt(brownian_model, flow, flow, Measure.dirac([0.0]), cfg, p=4)
-    assert abs(rep4.alpha - 2.0) <= 0.1
-    assert rep4.C == pytest.approx(3.0, rel=0.15)  # Gaussian fourth moment 3 t^2
+    fits = _moment_fit(brownian_model, 0.0, cfg, (2, 4))
+    alpha2, _ = fits[2]
+    assert abs(alpha2 - 1.0) <= 0.05
+    assert alpha2 >= 2 / 2 - 0.1
+    alpha4, c4 = fits[4]
+    assert abs(alpha4 - 2.0) <= 0.1
+    assert c4 == pytest.approx(3.0, rel=0.15)  # Gaussian fourth moment 3 t^2
 
 
 def test_moment_check_bounded_drift(arctan_model):
-    flow = Flow.constant(Measure.dirac([1.0]), [0.0])
     cfg = SimConfig(50_000, 1e-3, 0.0, 0.25, seed=6)
-    rep = moment_check_nnt(arctan_model, flow, flow, Measure.dirac([1.0]), cfg, p=2,
-                           tolerance=0.05)
-    assert rep.alpha >= 0.95
-
-
-def test_nu_nodes_default_recording(brownian_model):
-    nu = Flow([0.0, 0.1, 0.2], tuple(Measure.dirac([0.0]) for _ in range(3)))
-    cfg = SimConfig(100, 1e-2, 0.0, 0.2, seed=0)
-    out = simulate_frozen(brownian_model, _const_flow(), nu, Measure.dirac([0.0]), cfg)
-    assert np.allclose(out.times, [0.0, 0.1, 0.2])
+    alpha, _ = _moment_fit(arctan_model, 1.0, cfg, (2,))[2]
+    assert alpha >= 0.95
 
 
 def test_two_dimensional_diagonal_diffusion():
