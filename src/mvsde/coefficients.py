@@ -23,12 +23,14 @@ JSON schema (see ``Model.from_json``)::
                "terms": [{"coef": float, "arg": <expr>}, ...]}
             | {"op": "integral", "arg": <expr>}    # arg is a function of y only
 
-Loading rejects a coord index outside [0, dim), a non-finite or non-numeric
-number, a non-object node or term, and a nested integral, with a
+``name``, the diffusion ``kind`` (default scalar), the lincomb ``const``
+(default 0) and ``terms`` (default none) are optional.  Loading rejects an
+unknown or missing key in any object, a coord index outside [0, dim), a
+number that is not a finite JSON number, and a nested integral, with a
 :class:`ConfigError` carrying the JSON pointer of the offending field.
 
 Each node lists its sub-expressions in x as ``children``; the base class
-derives ``uses_space``, ``uses_measure``, ``integrals`` and ``lipschitz`` from
+derives ``uses_space``, ``uses_measure`` and ``lipschitz`` from
 one walk over them (abs/tanh/arctan/min1 are 1-Lipschitz outer maps).  Nodes
 override only where they differ: ``Coord`` and ``Norm`` read the state with
 constant 1, ``LinComb`` weights its children's constants by |coef|, and
@@ -45,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AuditError, ConfigError, DomainError, NumericsError
+from .errors import (AuditError, ConfigError, DomainError, NumericsError, check_integer,
+                     check_list, check_number, check_object, check_tagged)
 from .measures import Measure
 from . import metrics
 
@@ -81,10 +84,6 @@ class Expr:
 
     def uses_measure(self) -> bool:
         return any(c.uses_measure() for c in self.children)
-
-    def integrals(self) -> list:
-        """All integral-functional nodes in the tree."""
-        return [i for c in self.children for i in c.integrals()]
 
 
 @dataclass(frozen=True)
@@ -209,30 +208,20 @@ class Integral(Expr):
     def uses_measure(self):
         return True
 
-    def integrals(self):
-        return [self]
-
     def to_json(self):
         return {"op": "integral", "arg": self.arg.to_json()}
 
 
-def _number(value, pointer) -> float:
-    """``value`` as a finite float, or a :class:`ConfigError` at ``pointer``."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a number, got {value!r}", pointer) from None
-    if not math.isfinite(x):
-        raise ConfigError(f"expected a finite number, got {value!r}", pointer)
-    return x
-
-
-def _typed(value, kind, pointer):
-    """``value`` if it is a JSON object (``dict``) or array (``list``)."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"expected a JSON {'object' if kind is dict else 'list'}, "
-                          f"got {value!r}", pointer)
-    return value
+# Keys of each expression node besides "op": (required, optional).
+_NODE_KEYS = {
+    "const": (("value",), ()),
+    "time": ((), ()),
+    "coord": (("index",), ()),
+    "norm": ((), ()),
+    **{op: (("arg",), ()) for op in _UNARY},
+    "lincomb": ((), ("const", "terms")),
+    "integral": (("arg",), ()),
+}
 
 
 def expr_from_json(spec, dim: int, pointer="") -> Expr:
@@ -240,44 +229,29 @@ def expr_from_json(spec, dim: int, pointer="") -> Expr:
 
     Every error names the offending node by its JSON pointer.
     """
-    if not isinstance(spec, dict) or "op" not in spec:
-        raise ConfigError("expression node must be an object with an 'op' field", pointer)
-    op = spec["op"]
-
-    def required(key):
-        if key not in spec:
-            raise ConfigError(f"{op} node needs {key!r}", f"{pointer}/{key}")
-        return spec[key]
-
+    op = check_tagged(spec, pointer, "op", _NODE_KEYS)
     if op == "const":
-        return Const(_number(required("value"), pointer + "/value"))
+        return Const(check_number(spec["value"], pointer + "/value"))
     if op == "time":
         return TimeVar()
     if op == "coord":
-        index = required("index")
-        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < dim:
-            raise ConfigError(f"coord index must be an integer in [0, {dim}), got {index!r}",
-                              pointer + "/index")
-        return Coord(index)
+        return Coord(check_integer(spec["index"], pointer + "/index", 0, dim))
     if op == "norm":
         return Norm()
-    if op in _UNARY:
-        return Unary(op, expr_from_json(required("arg"), dim, pointer + "/arg"))
     if op == "lincomb":
         terms = []
-        for i, term in enumerate(_typed(spec.get("terms", []), list, pointer + "/terms")):
+        for i, term in enumerate(check_list(spec.get("terms", []), pointer + "/terms")):
             tp = f"{pointer}/terms/{i}"
-            if not isinstance(term, dict) or "coef" not in term or "arg" not in term:
-                raise ConfigError("lincomb terms must be objects with 'coef' and 'arg'", tp)
-            terms.append((_number(term["coef"], tp + "/coef"),
+            check_object(term, tp, ("coef", "arg"))
+            terms.append((check_number(term["coef"], tp + "/coef"),
                           expr_from_json(term["arg"], dim, tp + "/arg")))
-        return LinComb(_number(spec.get("const", 0.0), pointer + "/const"), tuple(terms))
-    if op == "integral":
-        arg = expr_from_json(required("arg"), dim, pointer + "/arg")
-        if arg.uses_measure():
-            raise ConfigError("integral functionals must not nest", pointer + "/arg")
-        return Integral(arg)
-    raise ConfigError(f"unknown expression op {op!r}", pointer + "/op")
+        return LinComb(check_number(spec.get("const", 0.0), pointer + "/const"), tuple(terms))
+    arg = expr_from_json(spec["arg"], dim, pointer + "/arg")
+    if op in _UNARY:
+        return Unary(op, arg)
+    if arg.uses_measure():
+        raise ConfigError("integral functionals must not nest", pointer + "/arg")
+    return Integral(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +313,6 @@ class Model:
     constants: ModelConstants
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1", "/dim")
         if len(self.drift) != self.dim:
             raise ConfigError(f"drift needs {self.dim} components, got {len(self.drift)}",
                               "/drift")
@@ -364,16 +336,6 @@ class Model:
     def drift_measure_free(self) -> bool:
         return not any(e.uses_measure() for e in self.drift)
 
-    @property
-    def sigma_wk_lipschitz(self) -> bool:
-        """Every diffusion functional has a finite state-Lipschitz bound,
-        so its measure sensitivity is controlled by W_1 <= W_k alone."""
-        return all(
-            math.isfinite(i.arg.lipschitz())
-            for e in self.diffusion.exprs
-            for i in e.integrals()
-        )
-
     # Serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -388,32 +350,24 @@ class Model:
     @classmethod
     def from_json(cls, spec: dict) -> "Model":
         """Parse and validate a model spec; errors carry a JSON pointer."""
-        _typed(spec, dict, "")
-        for key in ("dim", "drift", "diffusion", "constants"):
-            if key not in spec:
-                raise ConfigError(f"missing required field {key!r}", "/" + key)
-        dim = spec["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise ConfigError(f"dim must be an integer >= 1, got {dim!r}", "/dim")
-        consts = _typed(spec["constants"], dict, "/constants")
-        for key in _CONSTANT_KEYS:
-            if key not in consts:
-                raise ConfigError(f"missing constant {key!r}", "/constants/" + key)
+        check_object(spec, "", ("dim", "drift", "diffusion", "constants"), ("name",))
+        dim = check_integer(spec["dim"], "/dim", 1)
+        consts = check_object(spec["constants"], "/constants", _CONSTANT_KEYS)
         drift = tuple(
             expr_from_json(node, dim, f"/drift/{i}")
-            for i, node in enumerate(_typed(spec["drift"], list, "/drift"))
+            for i, node in enumerate(check_list(spec["drift"], "/drift"))
         )
-        diff_spec = _typed(spec["diffusion"], dict, "/diffusion")
+        diff_spec = check_object(spec["diffusion"], "/diffusion", ("exprs",), ("kind",))
         exprs = tuple(
             expr_from_json(node, dim, f"/diffusion/exprs/{i}")
-            for i, node in enumerate(_typed(diff_spec.get("exprs", []), list, "/diffusion/exprs"))
+            for i, node in enumerate(check_list(diff_spec["exprs"], "/diffusion/exprs"))
         )
         return cls(
             name=str(spec.get("name", "model")),
             dim=dim,
             drift=drift,
             diffusion=Diffusion(diff_spec.get("kind", "scalar"), exprs),
-            constants=ModelConstants(**{k: _number(consts[k], "/constants/" + k)
+            constants=ModelConstants(**{k: check_number(consts[k], "/constants/" + k)
                                         for k in _CONSTANT_KEYS}),
         )
 
@@ -492,8 +446,6 @@ class AuditReport:
     b_max: float
     declared_K: float
     flags: dict
-    condition_i: bool
-    condition_ii: bool
     passed: bool
     witness: dict | None = None
 
@@ -521,11 +473,11 @@ def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
     * ``a3``:         mixed second difference of sigma sigma* over
       |x-y|^beta (W_eta + W_k)
 
-    Ellipticity and the drift bound are checked at every sample.  The report
-    also records structural flags of the model, read off its expression
-    trees rather than sampled: ``sigma_space_free`` (diffusion blind to the
-    state variable) and ``sigma_wk_lipschitz`` (all diffusion functionals
-    state-Lipschitz, hence W_k-controlled).
+    Ellipticity and the drift bound are checked at every sample by
+    :func:`sigma_batch` and :func:`drift_batch`; a violation ends the loop as
+    the ``evaluation`` failure.  The report also records structural flags of
+    the model, read off its expression trees rather than sampled:
+    ``sigma_space_free``, ``sigma_measure_free`` and ``drift_measure_free``.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -592,7 +544,6 @@ def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
         "sigma_space_free": model.sigma_space_free,
         "sigma_measure_free": model.sigma_measure_free,
         "drift_measure_free": model.drift_measure_free,
-        "sigma_wk_lipschitz": model.sigma_wk_lipschitz,
     }
     failures = []
     if eval_failure is not None:
@@ -600,10 +551,6 @@ def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
     if max(ratios.values()) > c.K:
         worst = max(ratios, key=ratios.get)
         failures.append((worst, witnesses.get(worst)))
-    if eig_lo < 1.0 / c.K - _SPECTRUM_SLACK or eig_hi > c.K + _SPECTRUM_SLACK:
-        failures.append(("ellipticity", {"eig_lo": eig_lo, "eig_hi": eig_hi}))
-    if b_max > c.b_sup + _BSUP_SLACK:
-        failures.append(("b_sup", {"b_max": b_max}))
 
     report = AuditReport(
         model=model.name,
@@ -614,8 +561,6 @@ def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
         b_max=b_max,
         declared_K=c.K,
         flags=flags,
-        condition_i=model.sigma_wk_lipschitz,
-        condition_ii=model.sigma_space_free,
         passed=not failures,
         witness=None if not failures else {failures[0][0]: failures[0][1]},
     )

@@ -71,15 +71,12 @@ def test_constant_model_ratios_zero(brownian_model):
     assert all(v == 0.0 for v in report.ratios.values())
 
 
-def test_structural_flags(tanh_model, mixed_model, space_sigma_model):
+def test_structural_flags(tanh_model, space_sigma_model):
     rep = lipschitz_audit(tanh_model, n_samples=20, seed=0)
     assert rep.flags["sigma_space_free"]
-    assert rep.condition_ii
     assert not rep.flags["sigma_measure_free"]
     rep2 = lipschitz_audit(space_sigma_model, n_samples=20, seed=0)
     assert not rep2.flags["sigma_space_free"]
-    assert rep2.condition_i  # tanh(x) composition is state-Lipschitz
-    assert mixed_model.sigma_wk_lipschitz
 
 
 def test_spectrum_violation_raises():
@@ -225,6 +222,33 @@ def test_non_finite_numbers_rejected(bad, drift, constants, pointer):
     assert _pointer(spec) == pointer
 
 
+def _with(spec, pointer, key, value):
+    """A copy of spec with ``key: value`` added to the object at ``pointer``."""
+    spec = obj = json.loads(json.dumps(spec))
+    for part in pointer.split("/")[1:]:
+        obj = obj[int(part) if isinstance(obj, list) else part]
+    obj[key] = value
+    return spec
+
+
+_LINCOMB = {"op": "lincomb", "const": 0.0,
+            "terms": [{"coef": 0.5, "arg": {"op": "coord", "index": 0}}]}
+
+
+@pytest.mark.parametrize("pointer, key", [
+    ("", "colour"),                      # top level
+    ("/diffusion", "kinds"),
+    ("/diffusion/exprs/0", "cnst"),      # a node, by its op
+    ("/constants", "b_suP"),
+    ("/drift/0", "cnst"),                # lincomb: "cnst" used to load as const 0
+    ("/drift/0/terms/0", "coeff"),       # a lincomb term
+    ("/drift/0/terms/0/arg", "arg"),     # coord takes no arg
+])
+def test_unknown_model_keys_rejected(pointer, key):
+    spec = _with(_spec(_LINCOMB), pointer, key, 1.0)
+    assert _pointer(spec) == f"{pointer}/{key}"
+
+
 def test_integral_nesting_pointer_names_the_node():
     nested = {"op": "integral", "arg": {"op": "integral", "arg": {"op": "coord", "index": 0}}}
     spec = _spec({"op": "lincomb", "const": 0.0, "terms": [{"coef": 0.5, "arg": nested}]})
@@ -238,6 +262,17 @@ def test_cli_reports_bad_model_number_with_pointer(tmp_path, capsys):
     rc = cli.main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "error: /drift/0/value:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pointer, key", [("/drift/0", "cnst"), ("", "colour")])
+def test_cli_reports_unknown_model_key_with_pointer(tmp_path, capsys, pointer, key):
+    (tmp_path / "model.json").write_text(json.dumps(_with(_spec(_LINCOMB), pointer, key, 1.0)))
+    cfg = tmp_path / "audit.json"
+    cfg.write_text(json.dumps({"kind": "audit", "model": "model.json", "sim": {"seed": 0}}))
+    rc = cli.main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pointer}/{key}: unknown key") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +360,6 @@ def test_grammar_roundtrip_flags_and_evaluation(spec):
     assert model.sigma_space_free == (not uses_space(sigma_specs))
     assert model.sigma_measure_free == (not uses_measure(sigma_specs))
     assert model.drift_measure_free == (not uses_measure(spec["drift"]))
-    integrands = [n["arg"] for e in sigma_specs for n, _ in _nodes(e) if n["op"] == "integral"]
-    assert model.sigma_wk_lipschitz == all(math.isfinite(_lip(a)) for a in integrands)
     for node, e in zip(spec["drift"] + sigma_specs, model.drift + model.diffusion.exprs):
         assert e.lipschitz() == _lip(node)
 
@@ -339,3 +372,20 @@ def test_grammar_roundtrip_flags_and_evaluation(spec):
     assert b.shape == (5, dim) and np.all(np.isfinite(b))
     assert s.shape == (5, 1 if spec["diffusion"]["kind"] == "scalar" else dim)
     assert np.all(np.isfinite(s))
+
+
+def _object_pointers(value, pointer=""):
+    """The JSON pointer of every object inside ``value``."""
+    if isinstance(value, dict):
+        yield pointer
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _object_pointers(child, f"{pointer}/{key}")
+
+
+@settings(deadline=None, max_examples=60)
+@given(_model_specs(), st.data())
+def test_unknown_key_fails_at_its_pointer(spec, data):
+    pointer = data.draw(st.sampled_from(list(_object_pointers(spec))))
+    assert _pointer(_with(spec, pointer, "unexpected", 0.0)) == f"{pointer}/unexpected"

@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mvsde import cli, experiments, metrics
+from mvsde.coefficients import Const
 from mvsde.errors import ConfigError, ConvergenceError, DomainError
 from mvsde.experiments import (
     ExperimentConfig,
@@ -278,6 +280,15 @@ def test_run_experiment_audits_model_before_solving(tmp_path, monkeypatch, capsy
     ("regularity", {"gamma2": {"type": "normal", "mean": [0.0], "std": 1.0, "n": 10, "sed": 3},
                     "times": [0.02, 0.05, 0.1]}, "/gamma2/sed"),
     ("solve", {"gamma1": {"type": "csv", "path": "law.csv", "weights": [1.0]}}, "/gamma1/weights"),
+    # Option slots no caller set; each is now a constant of its runner.
+    ("regularity", {"options": {"tol": 0.05}, "times": [0.02, 0.05, 0.1]}, "/options/tol"),
+    ("gradient", {"options": {"tol": 0.05}}, "/options/tol"),
+    ("stability", {"options": {"tol": 0.05}}, "/options/tol"),
+    ("duhamel", {"options": {"tol": 1e-6}}, "/options/tol"),
+    ("duhamel", {"options": {"tol_solve": 0.05}}, "/options/tol_solve"),
+    ("duhamel", {"options": {"comparison_bins": 64}}, "/options/comparison_bins"),
+    ("duhamel", {"options": {"cells": 1024}}, "/options/cells"),
+    ("duhamel", {"options": {"mc_particles": 1000}}, "/options/mc_particles"),
 ])
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, kind, extra, pointer):
     # A misspelt key must not fall back to a default silently.
@@ -289,6 +300,84 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys, kind, extra, pointer)
     rc = cli.main([kind, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"error: {pointer}: unknown key" in capsys.readouterr().err
+
+
+def _brownian_config(tmp_path, kind="solve", **fields):
+    cfg = {"kind": kind,
+           "model": os.path.relpath(str(CONFIGS.parent / "models" / "brownian.json"), tmp_path),
+           "sim": {"t1": 0.1}}
+    cfg.update(fields)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("fields, argv, pointer", [
+    ({"sim": {"t1": 0.1, "crn": "false"}}, [], "/sim/crn"),
+    ({"sim": {"t1": 0.1, "n_particles": 10.7}}, [], "/sim/n_particles"),
+    ({"sim": {"t1": 0.1, "n_particles": True}}, [], "/sim/n_particles"),
+    ({"sim": {"t1": 0.1, "seed": 2.9}}, [], "/sim/seed"),
+    ({}, ["--seed", "-1"], "/sim/seed"),
+    ({}, ["--particles", "0"], "/sim/n_particles"),
+    ({"sim": {"t1": "0.1"}}, [], "/sim/t1"),
+    ({"options": {"tol": "abc"}}, [], "/options/tol"),
+    ({"times": [0.05, "0.1"]}, [], "/times/1"),
+    ({"gamma1": {"type": "dirac", "point": [True]}}, [], "/gamma1/point/0"),
+])
+def test_cli_rejects_bad_values_at_parse_time(tmp_path, capsys, fields, argv, pointer):
+    # Each value used to be coerced, or to fail with a traceback once read.
+    cfg = _brownian_config(tmp_path, **fields)
+    rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")] + argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pointer}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_duhamel_needs_a_dirac_initial(tmp_path, capsys):
+    # The solver starts from one point; a spread Monte Carlo start would fail
+    # every horizon (exit 2) for what is a config error.
+    raw = json.loads((CONFIGS / "duhamel_arctan.json").read_text())
+    raw["model"] = str(CONFIGS.parent / "models" / "arctan_drift.json")
+    raw["gamma1"] = {"type": "atoms", "points": [[1.0], [3.0]]}
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    rc = cli.main(["duhamel", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out"), "--smoke"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: /gamma1: ")
+
+
+@pytest.mark.parametrize("gamma2", [None, {"type": "atoms", "points": [[0.0], [0.05]]}])
+def test_gradient_names_the_bad_second_initial(tmp_path, gamma2):
+    fields = {"gamma1": {"type": "dirac", "point": [0.0]}, "times": [0.01, 0.02, 0.04]}
+    if gamma2 is not None:
+        fields["gamma2"] = gamma2
+    cfg = parse_config(_brownian_config(tmp_path, "gradient", **fields), smoke=True)
+    with pytest.raises(ConfigError) as err:
+        run_gradient(cfg)
+    assert err.value.pointer == "/gamma2"
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_tv_horizons_catch_a_drift_dropped_on_one_side(tmp_path, monkeypatch, fault):
+    # Falsifier: a Monte Carlo reference that runs without the drift the
+    # Duhamel solver keeps must fail every tv_horizon_* assertion.
+    if fault:
+        simulate = experiments.simulate_frozen
+
+        def drift_free(model, *args, **kwargs):
+            zero = replace(model, drift=tuple(Const(0.0) for _ in model.drift))
+            return simulate(zero, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_frozen", drift_free)
+    out = tmp_path / "out"
+    rc = cli.main(["duhamel", "--config", str(CONFIGS / "duhamel_arctan.json"),
+                   "--out", str(out), "--smoke"])
+    assert rc == (2 if fault else 0)
+    assertions = json.loads((out / "summary.json").read_text())["assertions"]
+    horizons = [a for a in assertions if a["name"].startswith("tv_horizon_")]
+    assert len(horizons) == 3
+    assert all(a["passed"] is not fault for a in horizons)
 
 
 def test_option_refuses_keys_outside_the_table():
