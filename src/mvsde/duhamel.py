@@ -18,6 +18,9 @@ Numerical scheme
 * Inner space integrals use exact per-cell antiderivatives of the kernel
   derivatives against cellwise-constant data, which stays accurate when the
   kernel width drops toward the cell size near the singular end.
+* With a state-free diffusion those integrals are convolutions (FFT); the
+  kernel spectra depend on the time pair only and are computed once per
+  horizon, so a sweep transforms one data row per time node.
 * The quadrature endpoint r -> t is the analytic limit of the inner
   integral, evaluated by central differences of the current iterate:
   -(b p)' for the drift term and p' a' + p a''/2 for the trace term.
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .coefficients import Model, diffusion_matrix_batch, drift_batch
 from .errors import ConvergenceError, DomainError, NumericsError, QuadratureError
@@ -190,16 +193,29 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
         # Zero remainder: p = q exactly after one sweep.
         return _finalize(x_lo, x_hi, cells, s, t, x0, times, Q.copy(), tol, 1, (0.0,), h)
 
-    dev_ce = centers[:, None] - edges[None, :]   # rows: output z, cols: edges in y
-    # Offsets m*h for the Toeplitz fast path: when the diffusion ignores the
-    # state variable, the frozen variance is one scalar per time pair and the
-    # exact per-cell kernel integrals become a convolution kernel in z - c.
-    offsets = np.arange(-(cells - 1), cells) * h
+    if has_trace:
+        dev_ce = centers[:, None] - edges[None, :]   # rows: output z, cols: edges in y
+    else:
+        # Toeplitz path: when the diffusion ignores the state variable, the
+        # frozen variance is one scalar per time pair and the exact per-cell
+        # kernel integrals become a convolution kernel in z - c (offsets m*h).
+        # No sweep changes a kernel, so each is transformed once, at the
+        # length and with the calls scipy.signal.fftconvolve(mode="full") uses.
+        offsets = np.arange(-(cells - 1), cells) * h
+        nfft = next_fast_len(3 * cells - 2, True)
+        kernel_spectra = {}
+        for j in range(time_nodes):
+            for l in range(j):
+                vs = float(A[1 + j, 0] - A[1 + l, 0])
+                gker = _phi(offsets - 0.5 * h, vs) - _phi(offsets + 0.5 * h, vs)
+                kernel_spectra[j, l] = rfft(gker, nfft)
 
     P = Q.copy()
     residuals = []
     for sweep in range(MAX_PICARD_ITER):
         newP = np.empty_like(P)
+        if not has_trace:
+            pb_spectra = [rfft(P[l] * b_cells[1 + l], nfft) for l in range(time_nodes - 1)]
         for j in range(time_nodes):
             vals = np.zeros((j + 2, cells))  # quadrature nodes: s, times[0..j]
 
@@ -216,10 +232,8 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
             for l in range(j):
                 if not has_trace:
                     # State-free diffusion: scalar variance, convolution form.
-                    vs = float(A[1 + j, 0] - A[1 + l, 0])
-                    gker = _phi(offsets - 0.5 * h, vs) - _phi(offsets + 0.5 * h, vs)
-                    pb = P[l] * b_cells[1 + l]
-                    vals[1 + l] = fftconvolve(pb, gker, mode="full")[cells - 1: 2 * cells - 1]
+                    conv = irfft(pb_spectra[l] * kernel_spectra[j, l], nfft)
+                    vals[1 + l] = conv[cells - 1: 2 * cells - 1]
                     continue
                 v = A[1 + j] - A[1 + l]
                 phi = _phi(dev_ce, v[:, None])

@@ -79,6 +79,13 @@ def check_bool(value, pointer) -> bool:
     return value
 
 
+def check_string(value, pointer) -> str:
+    """``value`` if it is a JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a string, got {value!r}", pointer)
+    return value
+
+
 def check_list(value, pointer) -> list:
     """``value`` if it is a JSON list."""
     if not isinstance(value, list):

@@ -27,7 +27,7 @@ from . import metrics
 from .coefficients import Model, lipschitz_audit, load_model
 from .duhamel import solve_density
 from .errors import (ConfigError, ConvergenceError, DomainError, check_bool, check_integer,
-                     check_list, check_number, check_object, check_tagged)
+                     check_list, check_number, check_object, check_string, check_tagged)
 from .fixed_point import solve_mvsde
 from .measures import Flow, Measure, pooled_grid, resample, to_density, write_csv
 from .sde_engine import SimConfig, simulate_frozen
@@ -184,6 +184,10 @@ def _measure_from_spec(spec, pointer: str, config_path) -> Measure:
     if kind == "atoms":
         points = [_numbers(row, f"{pointer}/points/{i}")
                   for i, row in enumerate(check_list(spec["points"], pointer + "/points"))]
+        for i, row in enumerate(points):
+            if len(row) != len(points[0]):
+                raise ConfigError(f"point has {len(row)} coordinates, the first has "
+                                  f"{len(points[0])}", f"{pointer}/points/{i}")
         weights = _numbers(spec["weights"], pointer + "/weights") if "weights" in spec else None
         return Measure.from_points(points, weights)
     if kind == "normal":
@@ -194,7 +198,7 @@ def _measure_from_spec(spec, pointer: str, config_path) -> Measure:
         std = check_number(spec["std"], pointer + "/std")
         pts = mean + std * rng.standard_normal((n, len(mean)))
         return Measure.from_points(pts)
-    path = _config_relative(config_path, spec["path"])
+    path = _config_relative(config_path, check_string(spec["path"], pointer + "/path"))
     try:
         return Measure.from_csv(path)
     except (OSError, ValueError) as exc:
@@ -220,7 +224,7 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
     if kind is not None and cfg_kind != kind:
         raise ConfigError(f"config kind {cfg_kind!r} does not match subcommand {kind!r}",
                           "/kind")
-    model_path = _config_relative(path, raw["model"])
+    model_path = _config_relative(path, check_string(raw["model"], "/model"))
     if not os.path.exists(model_path):
         raise ConfigError(f"model file does not exist: {model_path}", "/model")
     model = load_model(model_path)
@@ -228,6 +232,10 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
     gamma1 = _measure_from_spec(raw.get("gamma1", {"type": "dirac", "point": [0.0] * model.dim}),
                                 "/gamma1", path)
     gamma2 = _measure_from_spec(raw["gamma2"], "/gamma2", path) if "gamma2" in raw else None
+    for pointer, gamma in (("/gamma1", gamma1), ("/gamma2", gamma2)):
+        if gamma is not None and gamma.dim != model.dim:
+            raise ConfigError(f"law of dimension {gamma.dim} for a model of dimension "
+                              f"{model.dim}", pointer)
 
     times = None
     if "times" in raw:

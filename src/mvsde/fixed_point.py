@@ -11,6 +11,15 @@ All simulations run with common random numbers, so successive iterates are
 coupled and their distances carry little Monte Carlo noise.  Distances on
 empirical flows resample each node to a fixed small support before the
 exact transport solvers run; the resample seed is fixed per solve.
+
+Under common random numbers a simulation's output depends only on the
+initial law, the seed, the step schedule and the flows its coefficients
+read, so a solve never re-runs a simulation whose result it already holds:
+the noise floor's first run is the first inner sweep, a diffusion that
+ignores its measure makes every later inner sweep repeat the first, and a
+drift that ignores its measure makes every later outer iterate repeat the
+first.  The recorded distances, ratios and solution are those of the full
+iteration.
 """
 
 from __future__ import annotations
@@ -157,21 +166,31 @@ def psi_map(model: Model, gamma: Measure, mu_flow: Flow, nu_flow: Flow,
 
 
 def inner_solve(model: Model, gamma: Measure, mu_flow: Flow, cfg: SimConfig,
-                lam: float, tol: float, metric: _MetricContext | None = None):
+                lam: float, tol: float, metric: _MetricContext | None = None,
+                first_sweep: Flow | None = None):
     """Iterate nu <- psi(nu) from the constant-in-time initial law.
 
     Returns (fixed flow, info dict with distances/ratios/iterations).  Every
     two successive distances give a ratio (0.0 once a sweep reproduces its
     input); three ratios >= 1 in a row, or MAX_INNER_ITER sweeps, raise
-    :class:`ConvergenceError` with the distances.
+    :class:`ConvergenceError` with the distances.  ``first_sweep``, when
+    given, is psi of the constant initial flow, already simulated.
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
     c = model.constants
     metric = metric or _MetricContext(k=c.k, eta=c.eta, lam=lam)
+    repeats = cfg.crn and model.sigma_measure_free
+
+    def psi(nu):
+        nonlocal first_sweep
+        flow = first_sweep if first_sweep is not None else psi_map(
+            model, gamma, mu_flow, nu, cfg)
+        first_sweep = flow if repeats else None
+        return flow
+
     nu, distances, ratios, failure = _iterate(
-        lambda nu: psi_map(model, gamma, mu_flow, nu, cfg), metric.rho,
-        Flow.constant(gamma, mu_flow.times), tol, MAX_INNER_ITER, -math.inf)
+        psi, metric.rho, Flow.constant(gamma, mu_flow.times), tol, MAX_INNER_ITER, -math.inf)
     if failure is not None:
         raise ConvergenceError(f"inner iteration at lambda={lam} {failure}",
                                history=distances)
@@ -203,11 +222,12 @@ def gamma_weight(gamma: Measure, k: float) -> float:
 
 
 def estimate_noise_floor(model: Model, gamma: Measure, cfg: SimConfig,
-                         metric: _MetricContext, nodes: np.ndarray) -> float:
+                         metric: _MetricContext, nodes: np.ndarray) -> tuple:
     """rho-tilde between two decoupled simulations of identical inputs.
 
     Captures the resample-OT and KDE estimation noise that iteration
-    distances cannot fall below.
+    distances cannot fall below.  Returns (floor, first simulation); the
+    first runs on the configured seed with constant-gamma flows.
     """
     base = Flow.constant(gamma, nodes)
     flows = []
@@ -215,7 +235,7 @@ def estimate_noise_floor(model: Model, gamma: Measure, cfg: SimConfig,
         cfg_i = replace(cfg, seed=cfg.seed + 7919 * seed_shift, crn=True)
         flows.append(simulate_frozen(model, base, base, gamma, cfg_i,
                                      record_times=nodes))
-    return metric.rho_tilde(flows[0], flows[1])
+    return metric.rho_tilde(flows[0], flows[1]), flows[0]
 
 
 def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig,
@@ -236,13 +256,21 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig,
     for escalations in range(MAX_LAMBDA_DOUBLINGS + 1):
         lam = lambda_schedule(c, weight, escalations)
         metric = _MetricContext(k=c.k, eta=c.eta, lam=lam)
-        floor = estimate_noise_floor(model, gamma, cfg, metric, nodes)
+        floor, first_sweep = estimate_noise_floor(model, gamma, cfg, metric, nodes)
         tol_eff = _effective_tol(tol, floor)
+        if not cfg.crn:
+            first_sweep = None  # the sweeps' noise is keyed by their inputs
+        repeats = cfg.crn and model.drift_measure_free
+        known = None  # (flow, info) of the first inner solve, when phi ignores mu
         inner = []
 
         def phi(mu):
             # phi(mu) is the inner fixed point: the intermediate SDE's law drives its sigma.
-            mu_next, info = inner_solve(model, gamma, mu, cfg, lam, tol_eff, metric=metric)
+            nonlocal first_sweep, known
+            mu_next, info = known or inner_solve(model, gamma, mu, cfg, lam, tol_eff,
+                                                 metric=metric, first_sweep=first_sweep)
+            first_sweep = None
+            known = (mu_next, info) if repeats else None
             inner.append(info)
             return mu_next
 

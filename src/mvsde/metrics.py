@@ -214,6 +214,10 @@ def weighted_variation_atoms(m1: Measure, m2: Measure, theta: float = 0.0) -> Di
 
 def transport(a: Measure, b: Measure, k: float, eta: float) -> float:
     """W_k + W_eta between two measures, the node distance of rho_lambda."""
+    if k == eta == 1.0 and a.dim == 1:
+        # Both terms are the same exact 1D W_1: compute it once.
+        w = wasserstein_1d(a, b, 1.0).value
+        return w + w
     return wasserstein(a, b, k).value + wasserstein_eta(a, b, eta).value
 
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 from scipy.stats import norm
 
+from mvsde import duhamel
 from mvsde.duhamel import remainder_R, solve_density
 from mvsde.errors import DomainError, NumericsError, QuadratureError
+from mvsde.gaussian_kernel import variance_profile
 from mvsde.measures import Flow, Measure
 from mvsde.sde_engine import SimConfig, simulate_frozen
 from mvsde.coefficients import Model
@@ -217,3 +220,47 @@ def test_density_and_residual_csv(tmp_path, const_drift_grid):
     assert p1.read_text().splitlines()[0] == "t,x,p"
     assert p2.read_text().splitlines()[0] == "iter,residual"
     assert len(p2.read_text().splitlines()) == len(const_drift_grid.residuals) + 1
+
+
+def _fftconvolve_density(model, flow, x0, s, t, cells, tol=1e-6, time_nodes=28):
+    """State-free-sigma Picard loop with one fftconvolve per time pair and sweep."""
+    K, b_sup = model.constants.K, model.constants.b_sup
+    half = 8.0 * math.sqrt(K * (t - s)) + b_sup * (t - s)
+    x_lo, x_hi = x0 - half, x0 + half
+    h = (x_hi - x_lo) / cells
+    centers = x_lo + (np.arange(cells) + 0.5) * h
+    times = duhamel._graded_times(s, t, time_nodes)
+    A = variance_profile(model, flow, centers[:, None], s, times)[:, :, 0]
+    b_cells, b_x0, _, _ = duhamel._coefficient_tables(model, flow, flow, centers, x0,
+                                                      np.concatenate([[s], times]))
+    dev = centers - x0
+    Q = np.stack([duhamel._phi(dev, A[1 + j]) for j in range(time_nodes)])
+    offsets = np.arange(-(cells - 1), cells) * h
+    P = Q.copy()
+    for _ in range(duhamel.MAX_PICARD_ITER):
+        newP = np.empty_like(P)
+        for j in range(time_nodes):
+            vals = np.zeros((j + 2, cells))
+            vals[0] = b_x0[0] * (dev / A[1 + j]) * duhamel._phi(dev, A[1 + j])
+            for l in range(j):
+                vs = float(A[1 + j, 0] - A[1 + l, 0])
+                gker = duhamel._phi(offsets - 0.5 * h, vs) - duhamel._phi(offsets + 0.5 * h, vs)
+                conv = fftconvolve(P[l] * b_cells[1 + l], gker, mode="full")
+                vals[1 + l] = conv[cells - 1: 2 * cells - 1]
+            vals[j + 1] = -duhamel._d1(b_cells[1 + j] * P[j], h)
+            newP[j] = Q[j] + np.trapezoid(vals, np.concatenate([[s], times[: j + 1]]), axis=0)
+        done = float(np.max(np.abs(newP - P))) < tol
+        P = newP
+        if done:
+            return np.maximum(P, 0.0)
+    raise AssertionError("reference loop did not converge")
+
+
+def test_state_free_path_matches_fftconvolve_bit_for_bit(arctan_model):
+    # Kernel spectra computed once per horizon give the same bits as one
+    # fftconvolve per time pair and sweep.
+    flow = Flow(np.array([0.0, 0.03, 0.0625]),
+                tuple(Measure.dirac([x]) for x in (1.0, 1.2, 1.3)))
+    grid = solve_density(arctan_model, flow, flow, 1.0, 0.0, 0.0625, cells=128)
+    assert grid.iterations > 1
+    assert np.array_equal(grid.p, _fftconvolve_density(arctan_model, flow, 1.0, 0.0, 0.0625, 128))

@@ -323,6 +323,11 @@ def _brownian_config(tmp_path, kind="solve", **fields):
     ({"options": {"tol": "abc"}}, [], "/options/tol"),
     ({"times": [0.05, "0.1"]}, [], "/times/1"),
     ({"gamma1": {"type": "dirac", "point": [True]}}, [], "/gamma1/point/0"),
+    ({"model": 5}, [], "/model"),
+    ({"gamma1": {"type": "csv", "path": ["law.csv"]}}, [], "/gamma1/path"),
+    ({"gamma1": {"type": "atoms", "points": [[0.0], [1.0, 2.0]]}}, [], "/gamma1/points/1"),
+    ({"gamma1": {"type": "dirac", "point": [0.0, 0.0]}}, [], "/gamma1"),
+    ({"gamma2": {"type": "atoms", "points": [[0.0, 1.0]]}}, [], "/gamma2"),
 ])
 def test_cli_rejects_bad_values_at_parse_time(tmp_path, capsys, fields, argv, pointer):
     # Each value used to be coerced, or to fail with a traceback once read.

@@ -1,10 +1,12 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mvsde import fixed_point, metrics
-from mvsde.coefficients import ModelConstants
+from mvsde.coefficients import Model, ModelConstants
 from mvsde.errors import ConvergenceError, DomainError
 from mvsde.fixed_point import (
     _iterate,
@@ -23,6 +25,23 @@ from conftest import arctan_mean_oracle, tanh_variance_oracle
 
 def _cfg(n=20_000, dt=1e-3, t1=0.25, seed=11):
     return SimConfig(n, dt, 0.0, t1, seed=seed, crn=True)
+
+
+def _record_simulations(monkeypatch) -> list:
+    """Digests of the outputs of every simulation the fixed point runs, in order."""
+    digests = []
+    simulate = fixed_point.simulate_frozen
+
+    def recording(*args, **kwargs):
+        flow = simulate(*args, **kwargs)
+        h = hashlib.blake2b(flow.times.tobytes(), digest_size=16)
+        for m in flow.measures:
+            h.update(np.ascontiguousarray(m.points).tobytes())
+        digests.append(h.hexdigest())
+        return flow
+
+    monkeypatch.setattr(fixed_point, "simulate_frozen", recording)
+    return digests
 
 
 def test_lambda_schedule_formula():
@@ -74,15 +93,18 @@ def test_psi_nu_independent_for_distribution_free_sigma(arctan_model):
                for x, y in zip(out_a.measures, out_b.measures))
 
 
-def test_inner_solve_distribution_free_converges_fast(arctan_model):
+def test_inner_solve_distribution_free_converges_fast(arctan_model, monkeypatch):
+    digests = _record_simulations(monkeypatch)
     cfg = _cfg(n=2000)
     nodes = solver_grid(cfg)
     gamma = Measure.dirac([1.0])
     mu = Flow.constant(gamma, nodes)
     flow, info = inner_solve(arctan_model, gamma, mu, cfg, lam=12.0, tol=1e-6)
-    # psi ignores nu, so the second sweep reproduces the first exactly
+    # psi ignores nu, so the second sweep reproduces the first exactly: it
+    # is the first sweep's flow, not a second simulation
     assert info["iterations"] == 2
     assert info["distances"][-1] == 0.0
+    assert len(digests) == 1
 
 
 def test_inner_solve_tanh_variance_oracle(tanh_model):
@@ -246,9 +268,10 @@ def test_iterate_rejects_nonpositive_tol():
         _iterate(lambda x: x / 2, _dist, 1.0, 0.0, 50, -math.inf)
 
 
-def test_inner_failure_history_is_distances(arctan_model, monkeypatch):
+def test_inner_failure_history_is_distances(tanh_model, monkeypatch):
     # A psi that moves a Dirac flow from x to 2x + 1 doubles every distance:
-    # the error carries the four increasing distances, not the ratios.
+    # the error carries the four increasing distances, not the ratios.  The
+    # model's sigma reads its measure, so every sweep calls psi.
     def doubling_psi(model, gamma, mu_flow, nu_flow, cfg):
         x = nu_flow.measures[0].points[0, 0]
         return Flow.constant(Measure.dirac([2 * x + 1]), nu_flow.times)
@@ -258,7 +281,7 @@ def test_inner_failure_history_is_distances(arctan_model, monkeypatch):
     nodes = solver_grid(cfg)
     gamma = Measure.dirac([0.0])
     with pytest.raises(ConvergenceError) as err:
-        inner_solve(arctan_model, gamma, Flow.constant(gamma, nodes), cfg, lam=1.0, tol=1e-6)
+        inner_solve(tanh_model, gamma, Flow.constant(gamma, nodes), cfg, lam=1.0, tol=1e-6)
     history = err.value.history
     assert len(history) == 4
     assert all(b > a for a, b in zip(history, history[1:]))
@@ -272,9 +295,9 @@ def test_outer_failure_escalates_lambda_then_raises_distances(arctan_model, monk
 
     def floor(model, gamma, cfg, metric, nodes):
         lams.append(metric.lam)
-        return 0.0
+        return 0.0, None
 
-    def doubling_phi(model, gamma, mu_flow, cfg, lam, tol, metric=None):
+    def doubling_phi(model, gamma, mu_flow, cfg, lam, tol, metric=None, first_sweep=None):
         x = mu_flow.measures[0].points[0, 0]
         return Flow.constant(Measure.dirac([2 * x + 1]), mu_flow.times), {"iterations": 1}
 
@@ -288,3 +311,50 @@ def test_outer_failure_escalates_lambda_then_raises_distances(arctan_model, monk
         solve_mvsde(arctan_model, Measure.dirac([0.0]), _cfg(n=100), tol=1e-6)
     assert err.value.history == [1.0, 2.0, 4.0, 8.0]
     assert lams == [lams[0] * 2.0**e for e in range(11)]
+
+
+# Simulations per solve at 2000 particles, where every inner solve takes one
+# sweep and the outer loop two iterates: the floor's two runs, then one
+# simulated sweep per outer iterate, except under a measure-free drift.
+SOLVE_CASES = [("arctan_model", 1.0, 3), ("tanh_model", 0.0, 2), ("mixed_model", 1.0, 3)]
+
+
+@pytest.mark.parametrize("name, x0, calls", SOLVE_CASES)
+def test_solve_reuses_known_simulations(request, monkeypatch, name, x0, calls):
+    # Under common random numbers no simulation reproduces an earlier one:
+    # the noise floor's first run is the first inner sweep, and a
+    # measure-free drift (tanh) repeats the first inner solve.
+    digests = _record_simulations(monkeypatch)
+    solve_mvsde(request.getfixturevalue(name), Measure.dirac([x0]), _cfg(n=2000), tol=0.05)
+    assert len(digests) == calls
+    assert len(set(digests)) == len(digests)
+
+
+@pytest.mark.parametrize("name, x0, calls", SOLVE_CASES)
+def test_reuse_leaves_the_solve_unchanged(request, monkeypatch, name, x0, calls):
+    model = request.getfixturevalue(name)
+    gamma = Measure.dirac([x0])
+    cfg = _cfg(n=2000)
+    fast = solve_mvsde(model, gamma, cfg, tol=0.05)
+    # Take every reuse away: no floor run handed over, no structural flags.
+    floor = fixed_point.estimate_noise_floor
+    monkeypatch.setattr(fixed_point, "estimate_noise_floor", lambda *a: (floor(*a)[0], None))
+    monkeypatch.setattr(Model, "sigma_measure_free", False)
+    monkeypatch.setattr(Model, "drift_measure_free", False)
+    digests = _record_simulations(monkeypatch)
+    slow = solve_mvsde(model, gamma, cfg, tol=0.05)
+    assert len(digests) > calls
+    assert fast.to_json() == slow.to_json()
+    assert all(np.array_equal(a.points, b.points)
+               for a, b in zip(fast.solution.measures, slow.solution.measures))
+
+
+def test_decoupled_noise_simulates_every_sweep(arctan_model, monkeypatch):
+    # With crn off each sweep's noise is keyed by its inputs, so the first
+    # sweep differs from the floor's first run and measure-free sigma does
+    # not make sweeps repeat: every sweep is simulated.
+    digests = _record_simulations(monkeypatch)
+    rep = solve_mvsde(arctan_model, Measure.dirac([1.0]), replace(_cfg(n=2000), crn=False),
+                      tol=0.05)
+    assert len(digests) == 2 + sum(rep.inner_iterations)
+    assert len(set(digests)) == len(digests)
