@@ -30,12 +30,13 @@ number that is not a finite JSON number, and a nested integral, with a
 :class:`ConfigError` carrying the JSON pointer of the offending field.
 
 Each node lists its sub-expressions in x as ``children``; the base class
-derives ``uses_space``, ``uses_measure`` and ``lipschitz`` from
-one walk over them (abs/tanh/arctan/min1 are 1-Lipschitz outer maps).  Nodes
-override only where they differ: ``Coord`` and ``Norm`` read the state with
-constant 1, ``LinComb`` weights its children's constants by |coef|, and
-``Integral`` reads the measure and is a leaf, its argument being a function
-of the integration variable, not of x.
+derives ``uses_space``, ``uses_measure``, ``uses_time`` and ``lipschitz``
+from one walk over them (abs/tanh/arctan/min1 are 1-Lipschitz outer maps).
+Nodes override only where they differ: ``Coord`` and ``Norm`` read the state
+with constant 1, ``TimeVar`` reads the time, ``LinComb`` weights its
+children's constants by |coef|, and ``Integral`` reads the measure and is a
+leaf, its argument being a function of the integration variable, not of x;
+it reads the time when its argument does, since psi is evaluated at t.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ class Expr:
     def uses_measure(self) -> bool:
         return any(c.uses_measure() for c in self.children)
 
+    def uses_time(self) -> bool:
+        return any(c.uses_time() for c in self.children)
+
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -101,6 +105,9 @@ class Const(Expr):
 class TimeVar(Expr):
     def evaluate(self, t, points, measure):
         return np.full(points.shape[0], float(t))
+
+    def uses_time(self):
+        return True
 
     def to_json(self):
         return {"op": "time"}
@@ -207,6 +214,9 @@ class Integral(Expr):
 
     def uses_measure(self):
         return True
+
+    def uses_time(self):
+        return self.arg.uses_time()
 
     def to_json(self):
         return {"op": "integral", "arg": self.arg.to_json()}

@@ -30,7 +30,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError, check_bool, che
                      check_list, check_number, check_object, check_string, check_tagged)
 from .fixed_point import solve_mvsde
 from .measures import Flow, Measure, pooled_grid, resample, to_density, write_csv
-from .sde_engine import SimConfig, simulate_frozen
+from .sde_engine import TIME_TOL, SimConfig, simulate_frozen
 
 KINDS = ("audit", "solve", "regularity", "gradient", "stability", "duhamel")
 # Measure spec keys besides "type", per type: (required, optional).
@@ -240,8 +240,12 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
     times = None
     if "times" in raw:
         times = np.asarray(_numbers(raw["times"], "/times"))
-        if len(times) == 0 or np.any(np.diff(times) <= 0):
+        if len(times) == 0:
             raise ConfigError("times must be a strictly increasing list", "/times")
+        close = np.flatnonzero(np.diff(times) <= TIME_TOL)
+        if close.size:
+            raise ConfigError(f"times must increase by more than {TIME_TOL}",
+                              f"/times/{close[0] + 1}")
         if times[0] <= 0:
             raise ConfigError("time points must lie in (0, T]", "/times/0")
 

@@ -10,7 +10,10 @@ KDEs between simulated laws).
 All simulations run with common random numbers, so successive iterates are
 coupled and their distances carry little Monte Carlo noise.  Distances on
 empirical flows resample each node to a fixed small support before the
-exact transport solvers run; the resample seed is fixed per solve.
+exact transport solvers run; the resample seed is fixed per solve.  Each
+flow is thinned once and each law smoothed once per solve, so a distance
+between one flow and itself compares one object with itself and is 0.0
+without further work.
 
 Under common random numbers a simulation's output depends only on the
 initial law, the seed, the step schedule and the flows its coefficients
@@ -25,6 +28,7 @@ iteration.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,16 +50,27 @@ _METRIC_SEED = 411
 
 @dataclass
 class _MetricContext:
-    """Per-solve fixed choices making iteration distances comparable."""
+    """Per-solve fixed choices making iteration distances comparable.
+
+    Each flow is thinned once and each node law smoothed once per context;
+    both memos hold their keys weakly, so no flow outlives the iteration.
+    """
 
     k: float
     eta: float
     lam: float
     grid: object = field(default=None, init=False)
     bandwidth: object = field(default=None, init=False)
+    _thinned: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
+    _smoothed: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def _thin(self, flow: Flow) -> Flow:
-        return flow.resampled(OT_ATOMS, _METRIC_SEED)
+        thinned = self._thinned.get(flow)
+        if thinned is None:
+            thinned = self._thinned[flow] = flow.resampled(OT_ATOMS, _METRIC_SEED)
+        return thinned
 
     def rho(self, f1: Flow, f2: Flow) -> float:
         return metrics.rho_lambda(self._thin(f1), self._thin(f2), self.lam, self.k, self.eta)
@@ -71,10 +86,15 @@ class _MetricContext:
         var = metrics.node_distances(f1, f2, self._variation)
         return metrics.sup_discounted(f1.times, [w + v for w, v in zip(wk, var)], self.lam)
 
+    def _smooth(self, m: Measure):
+        density = self._smoothed.get(m)
+        if density is None:
+            density = self._smoothed[m] = to_density(m, grid=self.grid,
+                                                     bandwidth=self.bandwidth)
+        return density
+
     def _variation(self, a: Measure, b: Measure) -> float:
-        da = to_density(a, grid=self.grid, bandwidth=self.bandwidth)
-        db = to_density(b, grid=self.grid, bandwidth=self.bandwidth)
-        return metrics.weighted_variation(da, db, self.k).value
+        return metrics.weighted_variation(self._smooth(a), self._smooth(b), self.k).value
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ import numpy as np
 
 from .coefficients import Model, drift_batch, sigma_batch
 from .errors import DomainError
-from .measures import Flow, Measure, resample
+from .measures import Flow, Measure, left_node, resample
 
 _INIT_STREAM = 0x517CC1B727220A95  # sub-stream tag for initial-condition resampling
-_TIME_TOL = 1e-12
+TIME_TOL = 1e-12  # times closer than this are one node
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,61 @@ def step_times(cfg: SimConfig) -> np.ndarray:
 def _schedule(cfg: SimConfig, record_times: np.ndarray) -> np.ndarray:
     grid = np.union1d(step_times(cfg), record_times)
     # Collapse nodes closer than the time tolerance.
-    keep = np.concatenate(([True], np.diff(grid) > _TIME_TOL))
+    keep = np.concatenate(([True], np.diff(grid) > TIME_TOL))
     return grid[keep]
+
+
+def _record_nodes(grid: np.ndarray, record_times: np.ndarray) -> list:
+    """Schedule node index of each (sorted, distinct) record time.
+
+    Raises :class:`DomainError` when the schedule merged a record time into
+    another node, so that fewer laws than asked for would come back.
+    """
+    nodes = []
+    for i, t in enumerate(grid):
+        if len(nodes) < len(record_times) and abs(t - record_times[len(nodes)]) <= TIME_TOL:
+            nodes.append(i)
+    if len(nodes) < len(record_times):
+        lost = record_times[len(nodes)]
+        raise DomainError(
+            f"record time {lost!r} lies within {TIME_TOL} of another record time "
+            "or step node")
+    return nodes
+
+
+def _coefficient(batch, model: Model, exprs, flow: Flow, grid: np.ndarray):
+    """Per-step evaluator ``(step, X) -> rows`` of one coefficient.
+
+    Trees that read the state are evaluated on all of X at every step.  The
+    others are evaluated on ``X[:1]``, whose one row equals every row and
+    broadcasts in the Euler update: at every step if they read the time,
+    else only when the step's flow measure changes.
+    """
+    measures = [flow.measures[left_node(flow.times, t)] for t in grid[:-1]]
+    space = any(e.uses_space() for e in exprs)
+    held = not space and not any(e.uses_time() for e in exprs)
+    last = rows = None  # measure and rows of the last evaluation
+
+    def at(step, X):
+        nonlocal last, rows
+        m = measures[step]
+        if not (held and m is last):
+            rows = batch(model, grid[step], X if space else X[:1], m)
+            last = m
+        return rows
+
+    return at
 
 
 def simulate_frozen(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
                     cfg: SimConfig, record_times) -> Flow:
     """Euler-Maruyama for X' = b(X, mu_t) dt + sigma(X, nu_t) dW on [t0, t1].
 
-    Returns the empirical law at every record time, each in [t0, t1].
-    Deterministic, and bit-identical across runs sharing (seed, schedule)
-    when crn is set.
+    Returns the empirical law at every record time, each in [t0, t1] and
+    further than the time tolerance from the others.  Deterministic, and
+    bit-identical across runs sharing (seed, schedule) when crn is set.
+    Drift and diffusion are evaluated once per row, flow node or step,
+    according to what their expression trees read.
     """
     if init.dim != model.dim:
         raise DomainError(f"initial dimension {init.dim} != model dimension {model.dim}")
@@ -120,36 +164,29 @@ def simulate_frozen(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
     rt = np.asarray(record_times, dtype=float).ravel()
     if rt.size == 0:
         raise DomainError("record_times must be non-empty")
-    if rt.min() < cfg.t0 - _TIME_TOL or rt.max() > cfg.t1 + _TIME_TOL:
+    if rt.min() < cfg.t0 - TIME_TOL or rt.max() > cfg.t1 + TIME_TOL:
         raise DomainError("record_times must lie within [t0, t1]")
     rt = np.unique(rt)
 
     grid = _schedule(cfg, rt)
+    recorded = set(_record_nodes(grid, rt))
+    sigma = _coefficient(sigma_batch, model, model.diffusion.exprs, nu_flow, grid)
+    drift = (_coefficient(drift_batch, model, model.drift, mu_flow, grid)
+             if model.constants.b_sup > 0 else None)
     extra = 0 if cfg.crn else _content_digest(init, mu_flow, nu_flow)
     ensemble = _initial_ensemble(init, cfg.n_particles, cfg.seed)
     X = ensemble.points.copy()
     w = ensemble.weights
 
-    laws = {}
-    rec_idx = 0
-    if abs(grid[0] - rt[rec_idx]) <= _TIME_TOL:
-        laws[rt[rec_idx]] = Measure(X.copy(), w, model.dim)
-        rec_idx += 1
-
-    has_drift = model.constants.b_sup > 0
+    laws = [Measure(X.copy(), w, model.dim)] if 0 in recorded else []
     for step in range(len(grid) - 1):
-        t, t_next = grid[step], grid[step + 1]
-        h = t_next - t
-        s = sigma_batch(model, t, X, nu_flow.at(t))
+        h = grid[step + 1] - grid[step]
         dw = _step_noise(cfg.seed, extra, step, X.shape) * math.sqrt(h)
-        noise = s * dw
-        if has_drift:
-            X = X + drift_batch(model, t, X, mu_flow.at(t)) * h + noise
+        noise = sigma(step, X) * dw
+        if drift is not None:
+            X = X + drift(step, X) * h + noise
         else:
             X = X + noise
-        if rec_idx < len(rt) and abs(t_next - rt[rec_idx]) <= _TIME_TOL:
-            laws[rt[rec_idx]] = Measure(X.copy(), w, model.dim)
-            rec_idx += 1
-
-    times = np.array(sorted(laws.keys()))
-    return Flow(times, tuple(laws[t] for t in times))
+        if step + 1 in recorded:
+            laws.append(Measure(X.copy(), w, model.dim))
+    return Flow(rt, tuple(laws))

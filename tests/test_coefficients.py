@@ -356,12 +356,17 @@ def test_grammar_roundtrip_flags_and_evaluation(spec):
     def uses_measure(exprs):
         return any(n["op"] == "integral" for e in exprs for n, _ in _nodes(e))
 
+    def uses_time(exprs):
+        # psi is evaluated at t too, so time inside an integral counts
+        return any(n["op"] == "time" for e in exprs for n, _ in _nodes(e))
+
     sigma_specs = spec["diffusion"]["exprs"]
     assert model.sigma_space_free == (not uses_space(sigma_specs))
     assert model.sigma_measure_free == (not uses_measure(sigma_specs))
     assert model.drift_measure_free == (not uses_measure(spec["drift"]))
     for node, e in zip(spec["drift"] + sigma_specs, model.drift + model.diffusion.exprs):
         assert e.lipschitz() == _lip(node)
+        assert e.uses_time() == uses_time([node])
 
     rng = np.random.default_rng(0)
     dim = spec["dim"]

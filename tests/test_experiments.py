@@ -72,7 +72,7 @@ def test_times_validation(tmp_path):
     }))
     with pytest.raises(ConfigError) as err:
         parse_config(p)
-    assert err.value.pointer == "/times"
+    assert err.value.pointer == "/times/1"
 
 
 def test_measure_spec_errors(tmp_path):
@@ -336,6 +336,18 @@ def test_cli_rejects_bad_values_at_parse_time(tmp_path, capsys, fields, argv, po
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {pointer}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_times_closer_than_the_time_tolerance_fail_at_parse(tmp_path, capsys):
+    # The simulation schedule merges such times into one node, so regularity
+    # used to record one law fewer and end in an IndexError traceback.
+    cfg = _brownian_config(tmp_path, kind="regularity",
+                           times=[0.0031622777, 0.0031622777000001, 0.01, 0.1])
+    rc = cli.main(["regularity", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: /times/1: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

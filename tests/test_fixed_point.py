@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvsde import fixed_point, metrics
+from mvsde import fixed_point, measures, metrics
 from mvsde.coefficients import Model, ModelConstants
 from mvsde.errors import ConvergenceError, DomainError
 from mvsde.fixed_point import (
+    OT_ATOMS,
     _iterate,
     _MetricContext,
     gamma_weight,
@@ -18,7 +19,7 @@ from mvsde.fixed_point import (
     solve_mvsde,
     solver_grid,
 )
-from mvsde.measures import Flow, Measure
+from mvsde.measures import Flow, Measure, to_density
 from mvsde.sde_engine import SimConfig
 from conftest import arctan_mean_oracle, tanh_variance_oracle
 
@@ -341,6 +342,11 @@ def test_reuse_leaves_the_solve_unchanged(request, monkeypatch, name, x0, calls)
     monkeypatch.setattr(fixed_point, "estimate_noise_floor", lambda *a: (floor(*a)[0], None))
     monkeypatch.setattr(Model, "sigma_measure_free", False)
     monkeypatch.setattr(Model, "drift_measure_free", False)
+    # and no metric memo: every distance thins and smooths its flows afresh
+    monkeypatch.setattr(_MetricContext, "_thin",
+                        lambda self, flow: flow.resampled(OT_ATOMS, fixed_point._METRIC_SEED))
+    monkeypatch.setattr(_MetricContext, "_smooth", lambda self, m: to_density(
+        m, grid=self.grid, bandwidth=self.bandwidth))
     digests = _record_simulations(monkeypatch)
     slow = solve_mvsde(model, gamma, cfg, tol=0.05)
     assert len(digests) > calls
@@ -358,3 +364,32 @@ def test_decoupled_noise_simulates_every_sweep(arctan_model, monkeypatch):
                       tol=0.05)
     assert len(digests) == 2 + sum(rep.inner_iterations)
     assert len(set(digests)) == len(digests)
+
+
+def _random_flow(rng, nodes=5, n=500):
+    return Flow(np.linspace(0.0, 0.1, nodes),
+                tuple(Measure.from_points(rng.normal(0.1 * i, 1.0, (n, 1))) for i in range(nodes)))
+
+
+def test_distance_of_a_flow_to_itself_does_no_work(monkeypatch):
+    # A repeated sweep hands the metric one flow object twice; it used to
+    # resample both sides at every node and run W_1 on each pair to get 0.0.
+    rng = np.random.default_rng(5)
+    f1, f2 = _random_flow(rng), _random_flow(rng)
+    metric = _MetricContext(k=1.0, eta=1.0, lam=2.0)
+    calls = {"resample": 0, "to_density": 0}
+    for module, fn in ((measures, "resample"), (fixed_point, "resample"),
+                       (fixed_point, "to_density")):
+        original = getattr(module, fn)
+
+        def counting(*args, _fn=fn, _original=original, **kwargs):
+            calls[_fn] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn, counting)
+    assert metric.rho(f1, f2) > 0.0
+    assert metric.rho_tilde(f1, f2) > 0.0
+    before = dict(calls)
+    assert metric.rho(f2, f2) == 0.0
+    assert metric.rho_tilde(f2, f2) == 0.0
+    assert calls == before

@@ -199,3 +199,122 @@ def test_two_dimensional_diagonal_diffusion():
     se = 0.25 * math.sqrt(2.0 / cfg.n_particles)
     assert abs(x[:, 0].var() - 0.25) <= 3 * se
     assert abs(x[:, 1].var() - 0.25 * 0.25) <= 3 * se
+
+
+def test_record_times_closer_than_the_tolerance_raise(brownian_model):
+    # The schedule merges nodes closer than the time tolerance; the run used
+    # to return the law at 0.05 only and never record 0.1.
+    flow = _const_flow()
+    cfg = SimConfig(100, 1e-3, 0.0, 0.2, seed=1)
+    with pytest.raises(DomainError, match="record time"):
+        simulate_frozen(brownian_model, flow, flow, Measure.dirac([0.0]), cfg,
+                        record_times=[0.05, 0.05 + 1e-13, 0.1])
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with full-batch evaluation at every step
+
+
+def _time_model():
+    # time in the drift, and time only inside the diffusion's integral argument
+    from mvsde.coefficients import Model
+
+    time, x = {"op": "time"}, {"op": "coord", "index": 0}
+    return Model.from_json({
+        "name": "timed", "dim": 1,
+        "drift": [{"op": "lincomb", "const": 0.1, "terms": [
+            {"coef": 0.5, "arg": time},
+            {"coef": 0.2, "arg": {"op": "tanh", "arg": {"op": "integral", "arg": x}}}]}],
+        "diffusion": {"kind": "scalar", "exprs": [{"op": "lincomb", "const": 1.0, "terms": [
+            {"coef": 0.1, "arg": {"op": "tanh", "arg": {"op": "integral", "arg": {
+                "op": "lincomb", "terms": [{"coef": 3.0, "arg": time},
+                                           {"coef": 1.0, "arg": {"op": "norm"}}]}}}}]}]},
+        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
+                      "b_sup": 1.0, "grad_sigma_bound": 0.0},
+    })
+
+
+KERNEL_MODELS = ["arctan_model", "tanh_model", "mixed_model", "space_sigma_model",
+                 "tanh_drift_model", "timed"]
+
+
+def _kernel_model(request, name):
+    return _time_model() if name == "timed" else request.getfixturevalue(name)
+
+
+def _varying_flow(t1, nodes, seed):
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, t1, nodes)
+    return Flow(times, tuple(Measure.from_points(rng.normal(0.3 * i, 1.0 + 0.1 * i, (40, 1)))
+                             for i in range(nodes)))
+
+
+def _reference_euler(model, mu_flow, nu_flow, init, cfg, record_times):
+    """Euler loop evaluating drift and sigma on every row at every step via Flow.at."""
+    from mvsde import sde_engine
+    from mvsde.coefficients import drift_batch, sigma_batch
+
+    grid = np.union1d(step_times(cfg), record_times)
+    extra = 0 if cfg.crn else sde_engine._content_digest(init, mu_flow, nu_flow)
+    X = init.points.copy()
+    laws = [X.copy()] if grid[0] in record_times else []
+    for step in range(len(grid) - 1):
+        t, h = grid[step], grid[step + 1] - grid[step]
+        s = sigma_batch(model, t, X, nu_flow.at(t))
+        noise = s * (sde_engine._step_noise(cfg.seed, extra, step, X.shape) * math.sqrt(h))
+        if model.constants.b_sup > 0:
+            X = X + drift_batch(model, t, X, mu_flow.at(t)) * h + noise
+        else:
+            X = X + noise
+        if grid[step + 1] in record_times:
+            laws.append(X.copy())
+    return laws
+
+
+@pytest.mark.parametrize("crn", [True, False])
+@pytest.mark.parametrize("nodes", [9, 1])
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_kernel_matches_full_batch_euler(request, name, nodes, crn):
+    # 0.0625 / 1e-3 gives a ragged last step; 0.0205 splits a step in two;
+    # an odd particle count leaves a tail after any SIMD block.
+    model = _kernel_model(request, name)
+    cfg = SimConfig(301, 1e-3, 0.0, 0.0625, seed=4, crn=crn)
+    mu = _varying_flow(cfg.t1, nodes, 1)
+    nu = _varying_flow(cfg.t1, nodes, 2)
+    init = Measure.from_points(np.random.default_rng(3).normal(0.5, 1.0, (301, 1)))
+    record = np.array([0.0, 0.0205, 0.04, 0.0625])
+    out = simulate_frozen(model, mu, nu, init, cfg, record_times=record)
+    ref = _reference_euler(model, mu, nu, init, cfg, record)
+    assert np.array_equal(out.times, record)
+    assert len(ref) == len(out.measures) == len(record)
+    assert all(np.array_equal(m.points, x) for m, x in zip(out.measures, ref))
+
+
+@pytest.mark.parametrize("name, drift_calls, sigma_calls", [
+    ("arctan_model", 8, 8),        # per flow node: nothing reads state or time
+    ("mixed_model", 8, 8),
+    ("tanh_drift_model", 63, 8),   # the drift reads the state: every step
+    ("space_sigma_model", 0, 63),  # b_sup = 0: no drift evaluated
+    ("timed", 63, 63),             # time in drift and in sigma's integral: every step
+])
+def test_kernel_evaluates_each_coefficient_as_often_as_it_reads(
+        request, monkeypatch, name, drift_calls, sigma_calls):
+    from mvsde import sde_engine
+
+    model = _kernel_model(request, name)
+    counts = {"drift_batch": 0, "sigma_batch": 0}
+    for fn in counts:
+        original = getattr(sde_engine, fn)
+
+        def counting(*args, _fn=fn, _original=original):
+            counts[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sde_engine, fn, counting)
+    cfg = SimConfig(301, 1e-3, 0.0, 0.0625, seed=4)
+    flow = _varying_flow(cfg.t1, 9, 1)
+    init = Measure.from_points(np.random.default_rng(3).normal(0.5, 1.0, (301, 1)))
+    simulate_frozen(model, flow, flow, init, cfg, record_times=[0.0205, 0.0625])
+    # 62 steps, one of them split at 0.0205: 63 schedule steps; the flow's
+    # 9th node is t1, so the steps read its first 8
+    assert counts == {"drift_batch": drift_calls, "sigma_batch": sigma_calls}
