@@ -14,7 +14,7 @@ JSON schema (see ``Model.from_json``)::
     {"name": str, "dim": int,
      "drift": [<expr>, ...],                       # one expr per component
      "diffusion": {"kind": "scalar"|"diag", "exprs": [<expr>, ...]},
-     "constants": {"K":, "k":, "eta":, "beta":, "b_sup":, "grad_sigma_bound":}}
+     "constants": {"K":, "k":, "eta":, "beta":, "b_sup":}}
 
     <expr> := {"op": "const", "value": float}
             | {"op": "time"} | {"op": "coord", "index": int} | {"op": "norm"}
@@ -268,7 +268,7 @@ def expr_from_json(spec, dim: int, pointer="") -> Expr:
 # Model
 
 
-_CONSTANT_KEYS = ("K", "k", "eta", "beta", "b_sup", "grad_sigma_bound")
+_CONSTANT_KEYS = ("K", "k", "eta", "beta", "b_sup")
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,6 @@ class ModelConstants:
     eta: float
     beta: float
     b_sup: float
-    grad_sigma_bound: float
 
     def __post_init__(self):
         if not self.K > 1:
@@ -291,8 +290,8 @@ class ModelConstants:
             raise ConfigError(f"eta must lie in (0,1], got {self.eta}", "/constants/eta")
         if not 0 < self.beta <= 1:
             raise ConfigError(f"beta must lie in (0,1], got {self.beta}", "/constants/beta")
-        if self.b_sup < 0 or self.grad_sigma_bound < 0:
-            raise ConfigError("b_sup and grad_sigma_bound must be nonnegative", "/constants")
+        if self.b_sup < 0:
+            raise ConfigError(f"b_sup must be nonnegative, got {self.b_sup}", "/constants/b_sup")
 
     def to_json(self):
         return dataclasses.asdict(self)

@@ -40,7 +40,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from .coefficients import Model, diffusion_matrix_batch, drift_batch
 from .errors import ConvergenceError, DomainError, NumericsError, QuadratureError
 from .gaussian_kernel import variance_profile
-from .measures import Flow, write_csv
+from .measures import TIME_TOL, Flow, write_csv
 
 MAX_PICARD_ITER = 50
 
@@ -380,7 +380,7 @@ def remainder_R(model: Model, mu_flow: Flow, nu_flow: Flow, p_table: DuhamelGrid
     :class:`QuadratureError`.  The refined value is returned.
     """
     _require_1d_scalar(model)
-    if not (abs(p_table.s - s) < 1e-12 and s < t <= p_table.t + 1e-12):
+    if not (abs(p_table.s - s) < TIME_TOL and s < t <= p_table.t + TIME_TOL):
         raise DomainError("p_table must cover [s, t] starting at its own s")
     f_cells = _eval_f(f, p_table.centers())
     include_trace = not model.sigma_space_free

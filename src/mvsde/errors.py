@@ -56,10 +56,13 @@ class ConfigError(MvsdeError, ValueError):
         self.pointer = pointer
 
 
-def check_number(value, pointer) -> float:
-    """``value`` as a float if it is a finite JSON number (not a boolean)."""
+def check_number(value, pointer, above: float | None = None) -> float:
+    """``value`` as a float if it is a finite JSON number (not a boolean),
+    greater than ``above`` unless that is None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {value!r}", pointer)
+    if above is not None and value <= above:
+        raise ConfigError(f"must be a number > {above}, got {value!r}", pointer)
     return float(value)
 
 

@@ -28,11 +28,10 @@ from .coefficients import Model, lipschitz_audit, load_model
 from .duhamel import solve_density
 from .errors import (ConfigError, ConvergenceError, DomainError, check_bool, check_integer,
                      check_list, check_number, check_object, check_string, check_tagged)
-from .fixed_point import solve_mvsde
-from .measures import Flow, Measure, pooled_grid, resample, to_density, write_csv
-from .sde_engine import TIME_TOL, SimConfig, simulate_frozen
+from .fixed_point import SOLVE_TOL, solve_mvsde
+from .measures import TIME_TOL, Flow, Measure, pooled_grid, resample, to_density, write_csv
+from .sde_engine import SimConfig, simulate_frozen
 
-KINDS = ("audit", "solve", "regularity", "gradient", "stability", "duhamel")
 # Measure spec keys besides "type", per type: (required, optional).
 MEASURE_KEYS = {
     "dirac": (("point",), ()),
@@ -46,8 +45,8 @@ SMOKE_MC_PARTICLES = 10_000
 SMOKE_CELLS = 256
 SMOKE_AUDIT_SAMPLES = 200
 EMIT_ATOMS = 4096  # per-node resample size for emitted law CSVs
-SOLVE_TOL = 0.05  # fixed-point tolerance: solve's default, fixed for every other runner
 COMPARISON_BINS = 64  # duhamel: solver vs Monte Carlo TV on this many merged cells
+FLOW_PARTICLES = 20_000  # duhamel: particle cap of the solved mean-field flow
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +171,44 @@ def _config_relative(config_path, path) -> str:
     return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(config_path)), path))
 
 
-def _numbers(value, pointer) -> list:
-    """A JSON list of finite numbers, as floats."""
-    return [check_number(v, f"{pointer}/{i}") for i, v in enumerate(check_list(value, pointer))]
+def _numbers(value, pointer, above: float | None = None) -> list:
+    """A JSON list of finite numbers, as floats, each greater than ``above`` if given."""
+    return [check_number(v, f"{pointer}/{i}", above)
+            for i, v in enumerate(check_list(value, pointer))]
+
+
+def _within_run(values, pointer, t0: float, t1: float) -> None:
+    """Fail at the first time of ``values`` outside the run interval (t0, t1]."""
+    for i, t in enumerate(values):
+        if not t0 < t <= t1:
+            raise ConfigError(f"time {t} lies outside the run interval ({t0}, {t1}]",
+                              f"{pointer}/{i}")
+
+
+def _check_runner_inputs(cfg: ExperimentConfig) -> None:
+    """The inputs each runner needs beyond the options table, checked before it runs."""
+    if cfg.kind in ("regularity", "gradient") and (cfg.times is None or len(cfg.times) < 3):
+        raise ConfigError(f"{cfg.kind} needs at least 3 time points", "/times")
+    if cfg.kind == "gradient":
+        for pointer, gamma in (("/gamma1", cfg.gamma1), ("/gamma2", cfg.gamma2)):
+            if gamma is None or gamma.n != 1:
+                raise ConfigError("gradient needs two Dirac initials", pointer)
+        dxy = float(np.linalg.norm(cfg.gamma1.points[0] - cfg.gamma2.points[0]))
+        t_min = float(cfg.times[0])
+        bw_floor = 0.9 * math.sqrt(cfg.model.constants.K * t_min) * cfg.sim.n_particles ** -0.2
+        if 0 < dxy < 0.5 * bw_floor:
+            raise ConfigError(f"|x-y|={dxy:.3g} below the noise-resolvable threshold "
+                              f"{0.5 * bw_floor:.3g} at the smallest time point", "/gamma2")
+    if cfg.kind == "duhamel":
+        if cfg.model.dim != 1:
+            raise ConfigError("duhamel validation needs a 1D model", "/model")
+        if cfg.model.diffusion.kind != "scalar":
+            raise ConfigError("duhamel validation needs a scalar diffusion spec", "/model")
+        if cfg.gamma1.n != 1:
+            # The solver starts from a point; a wider Monte Carlo start would
+            # report a theory failure for what is a config error.
+            raise ConfigError("duhamel validation needs a Dirac initial", "/gamma1")
+        _within_run(cfg.options.get("horizons", ()), "/options/horizons", cfg.sim.t0, cfg.sim.t1)
 
 
 def _measure_from_spec(spec, pointer: str, config_path) -> Measure:
@@ -246,8 +280,6 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
         if close.size:
             raise ConfigError(f"times must increase by more than {TIME_TOL}",
                               f"/times/{close[0] + 1}")
-        if times[0] <= 0:
-            raise ConfigError("time points must lie in (0, T]", "/times/0")
 
     sim_raw = dict(check_object(raw.get("sim", {}), "/sim", (),
                                 ("n_particles", "dt", "t0", "t1", "seed", "crn")))
@@ -268,15 +300,20 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
             t1 = t0 + 1.0
         else:
             raise ConfigError("sim needs t1 > t0 (set sim.t1 or times)", "/sim/t1")
+    dt = check_number(sim_raw.get("dt", 1e-3), "/sim/dt", above=0.0)
+    if dt > t1 - t0:
+        raise ConfigError(f"dt {dt} exceeds the run length t1 - t0 = {t1 - t0}", "/sim/dt")
+    if times is not None:
+        _within_run(times, "/times", t0, t1)
     sim = SimConfig(
         n_particles=n,
-        dt=check_number(sim_raw.get("dt", 1e-3), "/sim/dt"),
+        dt=dt,
         t0=t0,
         t1=t1,
         seed=check_integer(sim_raw.get("seed", 0), "/sim/seed", 0),
         crn=check_bool(sim_raw.get("crn", True), "/sim/crn"),
     )
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         kind=cfg_kind,
         model_path=model_path,
         model=model,
@@ -287,6 +324,8 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
         options=dict(options),
         smoke=smoke,
     )
+    _check_runner_inputs(cfg)
+    return cfg
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
@@ -333,11 +372,18 @@ def _sup_wk(flow1: Flow, flow2: Flow, k: float) -> float:
                                       lambda a, b: metrics.wasserstein(a, b, k).value))
 
 
+def _report(cfg: ExperimentConfig, assertions, series=(), **findings) -> ExperimentReport:
+    """The report of one run of ``cfg``: its findings beside the config echo."""
+    return ExperimentReport(kind=cfg.kind, model=cfg.model.name, assertions=tuple(assertions),
+                            series=tuple(series),
+                            metadata={"config": config_to_json(cfg), **findings})
+
+
 # ---------------------------------------------------------------------------
 # Runners
 
 
-def run_audit(cfg: ExperimentConfig) -> ExperimentReport:
+def run_audit(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     n_samples = cfg.option("n_samples", SMOKE_AUDIT_SAMPLES if cfg.smoke else 1000)
     report = lipschitz_audit(cfg.model, n_samples=n_samples, seed=cfg.sim.seed,
                              raise_on_failure=False)
@@ -347,12 +393,7 @@ def run_audit(cfg: ExperimentConfig) -> ExperimentReport:
         Assertion("ratios_within_K", max(report.ratios.values()) <= report.declared_K,
                   max(report.ratios.values()), f"declared K={report.declared_K}"),
     ]
-    return ExperimentReport(
-        kind="audit", model=cfg.model.name,
-        assertions=tuple(assertions),
-        series=(),
-        metadata={"config": config_to_json(cfg), "audit": report.to_json()},
-    )
+    return _report(cfg, assertions, audit=report.to_json())
 
 
 def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
@@ -362,12 +403,8 @@ def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     except ConvergenceError as exc:
         # Non-convergence is what this experiment measures: a failed
         # assertion (exit 2), not a runtime error (exit 1).
-        return ExperimentReport(
-            kind="solve", model=cfg.model.name,
-            assertions=(Assertion("converged", False, len(exc.history), str(exc)),),
-            series=(),
-            metadata={"config": config_to_json(cfg), "history": exc.history},
-        )
+        return _report(cfg, [Assertion("converged", False, len(exc.history), str(exc))],
+                       history=exc.history)
     hist = report.contraction_history
     dists = hist["outer_distances"]
     ratios = hist["outer_ratios"] + [r for info in hist["inner"] for r in info["ratios"]]
@@ -388,32 +425,18 @@ def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
         for i, (t, m) in enumerate(zip(report.solution.times, report.solution.measures)):
             thin = resample(m, min(EMIT_ATOMS, m.n), cfg.sim.seed) if m.n > EMIT_ATOMS else m
             thin.to_csv(os.path.join(laws_dir, f"node_{i:03d}_t{t:.6f}.csv"))
-    return ExperimentReport(
-        kind="solve", model=cfg.model.name,
-        assertions=tuple(assertions),
-        series=tuple(series),
-        metadata={"config": config_to_json(cfg), "solve": report.to_json()},
-    )
+    return _report(cfg, assertions, series, solve=report.to_json())
 
 
-def _solved_flow(cfg: ExperimentConfig, gamma: Measure, t1: float) -> Flow:
-    """Solution flow of the full MVSDE from gamma over [t0, t1]."""
-    sim = replace(cfg.sim, t1=t1)
-    return solve_mvsde(cfg.model, gamma, sim, tol=SOLVE_TOL).solution
-
-
-def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
+def run_regularity(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     """Short-time total-variation decay and transport stability of the semigroup."""
-    if cfg.times is None or len(cfg.times) < 3:
-        raise ConfigError("regularity needs at least 3 time points", "/times")
     gamma1 = cfg.gamma1
     gamma2 = cfg.gamma2 if cfg.gamma2 is not None else gamma1
     k = cfg.model.constants.k
-    t1 = float(cfg.times[-1])
-    sim = replace(cfg.sim, t1=t1, crn=True)
+    sim = cfg.sim
 
-    flow_mu1 = _solved_flow(cfg, gamma1, t1)
-    flow_mu2 = flow_mu1 if gamma2 is gamma1 else _solved_flow(cfg, gamma2, t1)
+    flow_mu1 = solve_mvsde(cfg.model, gamma1, sim).solution
+    flow_mu2 = flow_mu1 if gamma2 is gamma1 else solve_mvsde(cfg.model, gamma2, sim).solution
     law1 = simulate_frozen(cfg.model, flow_mu1, flow_mu1, gamma1, sim, record_times=cfg.times)
     law2 = simulate_frozen(cfg.model, flow_mu2, flow_mu2, gamma2, sim, record_times=cfg.times)
 
@@ -425,7 +448,7 @@ def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
             for t, tv, wk in zip(cfg.times, tvs.tolist(), wks.tolist())]
 
     assertions = []
-    metadata = {"config": config_to_json(cfg), "w0": w0}
+    findings = {"w0": w0}
     if w0 == 0.0:
         # Identical initials: distances sit at the decoupled noise floor.
         sim_b = replace(sim, seed=sim.seed + 1)
@@ -437,7 +460,7 @@ def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
         assertions.append(Assertion(
             "distances_at_noise_floor", bool(np.all(tvs <= 3.0 * floor)),
             float(tvs.max()), f"3x decoupled floor {3 * floor:.3g}; slope fit skipped"))
-        metadata["noise_floor"] = floor
+        findings["noise_floor"] = floor
     else:
         slope, _ = fit_loglog(cfg.times, tvs)
         interior = slice(1, -1) if len(cfg.times) >= 5 else slice(None)
@@ -454,43 +477,24 @@ def run_regularity(cfg: ExperimentConfig) -> ExperimentReport:
                       float(ratio.max() / ratio.min()),
                       "fitted W_k contraction constant varies < 2x across t"),
         ])
-        metadata.update({"tv_slope": slope, "c_hat": c_hat,
+        findings.update({"tv_slope": slope, "c_hat": c_hat,
                          "wk_ratio_range": [float(ratio.min()), float(ratio.max())]})
 
-    series = (Series("regularity", ("t", "tv", "wk", "wk_ratio"),
-                     tuple(rows), logx=True, logy=True),)
-    return ExperimentReport(
-        kind="regularity", model=cfg.model.name,
-        assertions=tuple(assertions), series=series, metadata=metadata,
-    )
+    series = [Series("regularity", ("t", "tv", "wk", "wk_ratio"),
+                     tuple(rows), logx=True, logy=True)]
+    return _report(cfg, assertions, series, **findings)
 
 
-def run_gradient(cfg: ExperimentConfig) -> ExperimentReport:
+def run_gradient(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     """Smoothing estimates for Dirac initials under one frozen solution flow."""
-    if cfg.times is None or len(cfg.times) < 3:
-        raise ConfigError("gradient needs at least 3 time points", "/times")
-    if cfg.gamma1.n != 1:
-        raise ConfigError("gradient needs two Dirac initials", "/gamma1")
-    if cfg.gamma2 is None or cfg.gamma2.n != 1:
-        raise ConfigError("gradient needs two Dirac initials", "/gamma2")
-    x = cfg.gamma1.points[0]
-    y = cfg.gamma2.points[0]
-    dxy = float(np.linalg.norm(x - y))
-    K = cfg.model.constants.K
-    t_min = float(cfg.times[0])
-    bw_floor = 0.9 * math.sqrt(K * t_min) * cfg.sim.n_particles ** (-0.2)
-    if 0 < dxy < 0.5 * bw_floor:
-        raise DomainError(
-            f"|x-y|={dxy:.3g} below the noise-resolvable threshold "
-            f"{0.5 * bw_floor:.3g} at the smallest time point"
-        )
+    dxy = float(np.linalg.norm(cfg.gamma1.points[0] - cfg.gamma2.points[0]))
     epsilons = [float(e) for e in cfg.option("epsilons", [0.25, 0.5, 1.0])]
-    t1 = float(cfg.times[-1])
-    sim = replace(cfg.sim, t1=t1, crn=True)
 
-    flow_mu = _solved_flow(cfg, cfg.gamma1, t1)
-    law1 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma1, sim, record_times=cfg.times)
-    law2 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma2, sim, record_times=cfg.times)
+    flow_mu = solve_mvsde(cfg.model, cfg.gamma1, cfg.sim).solution
+    law1 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma1, cfg.sim,
+                           record_times=cfg.times)
+    law2 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma2, cfg.sim,
+                           record_times=cfg.times)
 
     def w_eps(e, m1, m2):
         if e >= 1.0:
@@ -505,7 +509,7 @@ def run_gradient(cfg: ExperimentConfig) -> ExperimentReport:
     rows = [(float(t), *vals) for t, *vals in zip(cfg.times, tvs, *weps.values())]
 
     assertions = []
-    metadata = {"config": config_to_json(cfg), "dxy": dxy}
+    findings = {"dxy": dxy}
     if dxy == 0.0:
         assertions.append(Assertion("zero_distances", bool(np.max(tvs) <= 1e-12),
                                     float(np.max(tvs)), "identical initials"))
@@ -514,7 +518,7 @@ def run_gradient(cfg: ExperimentConfig) -> ExperimentReport:
         assertions.append(Assertion(
             "tv_slope", abs(tv_slope + 0.5) <= 0.15, tv_slope,
             "TV decay exponent -1/2 within 0.15"))
-        metadata["tv_slope"] = tv_slope
+        findings["tv_slope"] = tv_slope
         for e in epsilons:
             slope, _ = fit_loglog(cfg.times, weps[e])
             ceiling = (-1.0 + e) / 2.0
@@ -523,17 +527,14 @@ def run_gradient(cfg: ExperimentConfig) -> ExperimentReport:
                 f"weps_slope_{e}", ok, slope,
                 f"W_eps exponent within [{ceiling - 0.15:.3g}, 0.15] "
                 f"(ceiling {ceiling:.3g})"))
-            metadata[f"weps_slope_{e}"] = slope
+            findings[f"weps_slope_{e}"] = slope
 
     columns = ["t", "tv"] + [f"w_{e}" for e in epsilons]
-    series = (Series("gradient", tuple(columns), tuple(rows), logx=True, logy=True),)
-    return ExperimentReport(
-        kind="gradient", model=cfg.model.name,
-        assertions=tuple(assertions), series=series, metadata=metadata,
-    )
+    series = [Series("gradient", tuple(columns), tuple(rows), logx=True, logy=True)]
+    return _report(cfg, assertions, series, **findings)
 
 
-def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
+def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     """Linear response of sup_t W_k to each driver of the stability bound."""
     k = cfg.model.constants.k
     eta = cfg.model.constants.eta
@@ -541,7 +542,7 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
                         dtype=float)
     sim = cfg.sim
     t0, t1 = sim.t0, sim.t1
-    base_flow = _solved_flow(cfg, cfg.gamma1, t1)
+    base_flow = solve_mvsde(cfg.model, cfg.gamma1, sim).solution
     nodes = base_flow.times
     e1 = np.zeros(cfg.model.dim)
     e1[0] = 1.0
@@ -556,7 +557,7 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
     }
     assertions = []
     series = []
-    metadata = {"config": config_to_json(cfg)}
+    findings = {}
     for name, make in drivers.items():
         responses = []
         driver_vals = []
@@ -578,49 +579,38 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
         assertions.append(Assertion(
             f"{name}_response_linear", abs(slope - 1.0) <= 0.2, slope,
             "log-log slope of sup_t W_k against the perturbation size within 1 +- 0.2"))
-        metadata[f"{name}_slope"] = slope
+        findings[f"{name}_slope"] = slope
         series.append(Series(
             f"stability_{name}", ("delta", "response", "driver"),
             tuple((float(d), float(r), float(v))
                   for d, r, v in zip(deltas, responses, driver_vals)),
             logx=True, logy=True))
-    return ExperimentReport(
-        kind="stability", model=cfg.model.name,
-        assertions=tuple(assertions), series=tuple(series), metadata=metadata,
-    )
+    return _report(cfg, assertions, series, **findings)
 
 
 def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     """Duhamel grid solver against a Monte Carlo histogram at several horizons."""
-    if cfg.model.dim != 1:
-        raise ConfigError("duhamel validation needs a 1D model", "/model")
-    if cfg.gamma1.n != 1:
-        # The solver starts from a point; a wider Monte Carlo start would
-        # report a theory failure for what is a config error.
-        raise ConfigError("duhamel validation needs a Dirac initial", "/gamma1")
     horizons = [float(h) for h in cfg.option("horizons", [0.0625, 0.125, 0.25])]
     cells = SMOKE_CELLS if cfg.smoke else 1024
     n_mc = SMOKE_MC_PARTICLES if cfg.smoke else 100_000
     tv_tol = float(cfg.option("tv_tol", 0.05))
     x0 = cfg.gamma1.points[0]
+    t0 = cfg.sim.t0
 
     mean_field = not (cfg.model.drift_measure_free and cfg.model.sigma_measure_free)
-    t_max = max(horizons)
     if mean_field:
-        n_flow = min(cfg.sim.n_particles, 20_000)
-        flow_sim = replace(cfg.sim, n_particles=n_flow, t0=0.0, t1=t_max, crn=True)
-        flows = solve_mvsde(cfg.model, cfg.gamma1, flow_sim, tol=SOLVE_TOL).solution
+        flow_sim = replace(cfg.sim, n_particles=min(cfg.sim.n_particles, FLOW_PARTICLES))
+        flows = solve_mvsde(cfg.model, cfg.gamma1, flow_sim).solution
     else:
-        flows = Flow.constant(cfg.gamma1, np.array([0.0]))
+        flows = Flow.constant(cfg.gamma1, np.array([t0]))
 
     assertions = []
     rows = []
-    metadata = {"config": config_to_json(cfg), "mean_field": mean_field}
     for hz in horizons:
-        grid = solve_density(cfg.model, flows, flows, x0, 0.0, hz, cells=cells)
-        mc_sim = replace(cfg.sim, n_particles=n_mc, t0=0.0, t1=hz, seed=cfg.sim.seed + 17, crn=True)
+        grid = solve_density(cfg.model, flows, flows, x0, t0, hz, cells=cells)
+        mc_sim = replace(cfg.sim, n_particles=n_mc, t1=hz, seed=cfg.sim.seed + 17)
         mc = simulate_frozen(cfg.model, flows, flows, cfg.gamma1, mc_sim,
-                             record_times=np.array([0.0, hz]))
+                             record_times=np.array([t0, hz]))
         sample = mc.measures[-1].points[:, 0]
         edges = grid.edges()
         hist, _ = np.histogram(sample, bins=edges)
@@ -639,33 +629,31 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
             os.makedirs(outdir, exist_ok=True)
             grid.density_csv(os.path.join(outdir, f"density_t{hz:.6f}.csv"))
             grid.residuals_csv(os.path.join(outdir, f"residuals_t{hz:.6f}.csv"))
-    series = (Series("duhamel", ("horizon", "tv", "iterations", "last_residual",
-                                 "max_mass_error"), tuple(rows)),)
-    return ExperimentReport(
-        kind="duhamel", model=cfg.model.name,
-        assertions=tuple(assertions), series=series, metadata=metadata,
-    )
+    series = [Series("duhamel", ("horizon", "tv", "iterations", "last_residual",
+                                 "max_mass_error"), tuple(rows))]
+    return _report(cfg, assertions, series, mean_field=mean_field)
 
 
 # The options each runner reads, each with the check parse_config applies to
 # its value; parse_config rejects any other key.
 OPTIONS = {
     "audit": {"n_samples": partial(check_integer, lo=1)},
-    "solve": {"tol": check_number},
+    "solve": {"tol": partial(check_number, above=0.0)},
     "regularity": {},
-    "gradient": {"epsilons": _numbers},
-    "stability": {"deltas": _numbers},
-    "duhamel": {"horizons": _numbers, "tv_tol": check_number},
+    "gradient": {"epsilons": partial(_numbers, above=0.0)},
+    "stability": {"deltas": partial(_numbers, above=0.0)},
+    "duhamel": {"horizons": _numbers, "tv_tol": partial(check_number, above=0.0)},
 }
 
 RUNNERS = {
-    "audit": lambda cfg, outdir=None: run_audit(cfg),
+    "audit": run_audit,
     "solve": run_solve,
-    "regularity": lambda cfg, outdir=None: run_regularity(cfg),
-    "gradient": lambda cfg, outdir=None: run_gradient(cfg),
-    "stability": lambda cfg, outdir=None: run_stability(cfg),
+    "regularity": run_regularity,
+    "gradient": run_gradient,
+    "stability": run_stability,
     "duhamel": run_duhamel_validation,
 }
+KINDS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:

@@ -39,6 +39,7 @@ from . import metrics
 from .measures import Flow, Measure, moment_k, pooled_grid, resample, to_density
 from .sde_engine import SimConfig, simulate_frozen, step_times
 
+SOLVE_TOL = 0.05          # fixed-point tolerance of every solve no config overrides
 OT_ATOMS = 256            # per-node resample size before exact OT
 MAX_NODES = 65            # time nodes of an iteration flow
 MAX_INNER_ITER = 30
@@ -259,7 +260,7 @@ def estimate_noise_floor(model: Model, gamma: Measure, cfg: SimConfig,
 
 
 def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig,
-                tol: float = 0.05) -> SolveReport:
+                tol: float = SOLVE_TOL) -> SolveReport:
     """Outer Picard iteration mu <- phi(mu) under rho-tilde_lambda.
 
     The effective tolerance is raised to three times the estimated metric

@@ -21,6 +21,7 @@ from .errors import DomainError, NumericsError
 
 WEIGHT_TOL = 1e-12
 MASS_TOL = 1e-6
+TIME_TOL = 1e-12  # times closer than this are one node
 
 DEFAULT_CELLS = {1: 1024, 2: 128}
 
@@ -235,7 +236,6 @@ class Density:
 
     grid: GridSpec
     values: np.ndarray
-    normalized: bool = True
     coverage_warning: bool = False
 
     def __post_init__(self):
@@ -244,39 +244,18 @@ class Density:
             raise DomainError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         if np.any(vals < 0):
             raise DomainError("density values must be nonnegative")
-        if self.normalized and abs(self.mass_of(vals) - 1.0) > MASS_TOL:
-            raise DomainError(f"density mass {self.mass_of(vals)!r} not within {MASS_TOL} of 1")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def mass_of(self, vals) -> float:
-        return float(np.sum(vals) * self.grid.cell_volume())
+        if abs(self.mass - 1.0) > MASS_TOL:
+            raise DomainError(f"density mass {self.mass!r} not within {MASS_TOL} of 1")
 
     @property
     def mass(self) -> float:
-        return self.mass_of(self.values)
+        return float(np.sum(self.values) * self.grid.cell_volume())
 
     @property
     def dim(self) -> int:
         return self.grid.dim
-
-    def to_csv(self, path_or_buf) -> None:
-        """Write ``x1[,x2],value`` rows."""
-        header = [f"x{j + 1}" for j in range(self.dim)] + ["value"]
-        rows = np.column_stack([self.grid.centers(), self.values.ravel()]).tolist()
-        write_csv(path_or_buf, header, rows)
-
-    @classmethod
-    def from_csv(cls, path_or_buf) -> "Density":
-        header, data = read_csv(path_or_buf)
-        dim = len(header) - 1
-        axes = [np.unique(data[:, j]) for j in range(dim)]
-        shape = tuple(len(a) for a in axes)
-        widths = [a[1] - a[0] for a in axes]
-        lo = np.array([a[0] - w / 2 for a, w in zip(axes, widths)])
-        hi = np.array([a[-1] + w / 2 for a, w in zip(axes, widths)])
-        vals = data[:, dim].reshape(shape)
-        return cls(GridSpec(lo, hi, shape), vals, normalized=False)
 
 
 def silverman_bandwidth(m: Measure) -> np.ndarray:
@@ -376,7 +355,7 @@ def to_density(m: Measure, grid: GridSpec | None = None, bandwidth=None) -> Dens
     if mass <= 0:
         raise NumericsError("all mass fell outside the grid")
     vals = vals / mass
-    return Density(grid, vals, normalized=True, coverage_warning=warn)
+    return Density(grid, vals, coverage_warning=warn)
 
 
 def _linear_binning(m: Measure, grid: GridSpec) -> np.ndarray:
@@ -405,9 +384,9 @@ def _linear_binning(m: Measure, grid: GridSpec) -> np.ndarray:
 
 def left_node(times: np.ndarray, u: float) -> int:
     """Index of the node governing time u under left-constant interpolation."""
-    if u < times[0] - 1e-12:
+    if u < times[0] - TIME_TOL:
         raise DomainError(f"time {u} precedes the flow start {times[0]}")
-    i = int(np.searchsorted(times, u + 1e-12, side="right") - 1)
+    i = int(np.searchsorted(times, u + TIME_TOL, side="right") - 1)
     return min(max(i, 0), len(times) - 1)
 
 
@@ -451,11 +430,11 @@ class Flow:
         Single-node flows are treated as constant in time and cover any
         interval starting at or after their node.
         """
-        if self.times[0] > t0 + 1e-12:
+        if self.times[0] > t0 + TIME_TOL:
             return False
         if len(self.measures) == 1:
             return True
-        return self.times[-1] >= t1 - 1e-12
+        return self.times[-1] >= t1 - TIME_TOL
 
     def shift(self, v) -> "Flow":
         return Flow(self.times, tuple(m.shift(v) for m in self.measures))

@@ -1,8 +1,8 @@
 """Distances between measures, densities, and flows.
 
-Covers the transport distances W_k (k >= 1, exact in 1D via the monotone
-coupling, exact LP otherwise), the concave-cost W_eta (eta in (0,1], exact
-LP only), the theta-weighted variation distance in atom-exact and grid-L1
+Covers the transport distances W_p for any p > 0 (exact in 1D via the
+monotone coupling when p >= 1, exact LP otherwise; W_eta is the case eta in
+(0,1]), the theta-weighted variation distance in atom-exact and grid-L1
 forms, and the exponentially time-weighted sup metrics on flows under which
 the fixed-point maps contract.
 
@@ -44,12 +44,6 @@ class DistanceReport:
         if self.value < 0 or self.gap < 0:
             raise DomainError("distance value and gap must be nonnegative")
 
-    def to_json(self) -> dict:
-        out = {"value": self.value, "method": self.method, "gap": self.gap}
-        if self.subsample is not None:
-            out["subsample"] = self.subsample
-        return out
-
 
 def _zero(method: str) -> DistanceReport:
     return DistanceReport(0.0, method, 0.0)
@@ -58,13 +52,13 @@ def _zero(method: str) -> DistanceReport:
 def wasserstein_1d(m1: Measure, m2: Measure, k: float) -> DistanceReport:
     """Exact W_k in one dimension via the monotone (quantile) coupling.
 
-    Valid for k >= 1 because |x-y|^k is convex; use :func:`wasserstein_eta`
-    for concave exponents.
+    Valid for k >= 1 because |x-y|^k is convex; :func:`wasserstein` takes
+    concave exponents to the LP.
     """
     if m1.dim != 1 or m2.dim != 1:
         raise DomainError("wasserstein_1d requires dimension 1")
     if k < 1:
-        raise DomainError(f"wasserstein_1d needs k >= 1 (got {k}); use wasserstein_eta")
+        raise DomainError(f"wasserstein_1d needs k >= 1 (got {k}); use wasserstein")
     if m1 is m2:
         return _zero(METHOD_EXACT_1D)
 
@@ -99,7 +93,7 @@ def ot_lp(m1: Measure, m2: Measure, exponent: float) -> DistanceReport:
     if n * m > LP_BUDGET:
         raise SizeError(
             f"support product {n}*{m} exceeds the exact-LP budget {LP_BUDGET}; "
-            "subsample the measures first (see wasserstein_eta)"
+            "subsample the measures first (see wasserstein)"
         )
     if m1 is m2:
         return _zero(METHOD_LP)
@@ -121,8 +115,31 @@ def ot_lp(m1: Measure, m2: Measure, exponent: float) -> DistanceReport:
     return DistanceReport(value, METHOD_LP, gap)
 
 
-def _subsampled_lp(m1: Measure, m2: Measure, exponent: float) -> DistanceReport:
-    """Exact LP, after subsampling both measures when they exceed the LP budget."""
+def wasserstein_eta(m1: Measure, m2: Measure, eta: float) -> DistanceReport:
+    """W_eta for eta in (0, 1]: :func:`wasserstein` with the concave cost |x-y|^eta.
+
+    |x-y|^eta is itself a metric, so the transport value equals the dual sup
+    over eta-Hoelder functions with seminorm <= 1 and carries no outer root.
+    """
+    if not 0 < eta <= 1:
+        raise DomainError(f"eta must lie in (0, 1], got {eta}")
+    return wasserstein(m1, m2, eta)
+
+
+def wasserstein(m1: Measure, m2: Measure, p: float) -> DistanceReport:
+    """Transport value with cost |x-y|^p for any p > 0, the one solver choice.
+
+    1D measures with p >= 1 take the exact quantile coupling (|x-y|^p is
+    convex); everything else takes the exact LP.  Above the LP budget both
+    measures are subsampled (systematic, fixed seed) and the report records
+    the subsample size.
+    """
+    if p <= 0:
+        raise DomainError(f"cost exponent must be positive, got {p}")
+    if m1.dim == 1 and p >= 1:
+        return wasserstein_1d(m1, m2, p)
+    if m1 is m2:
+        return _zero(METHOD_LP)
     sub = None
     if m1.n * m2.n > LP_BUDGET:
         # One shared seed: systematic resampling then picks matching indices
@@ -130,42 +147,8 @@ def _subsampled_lp(m1: Measure, m2: Measure, exponent: float) -> DistanceReport:
         sub = ETA_SUBSAMPLE
         m1 = resample(m1, sub, _SUBSAMPLE_SEED)
         m2 = resample(m2, sub, _SUBSAMPLE_SEED)
-    rep = ot_lp(m1, m2, exponent)
+    rep = ot_lp(m1, m2, p)
     return DistanceReport(rep.value, METHOD_LP, rep.gap, subsample=sub)
-
-
-def wasserstein_eta(m1: Measure, m2: Measure, eta: float) -> DistanceReport:
-    """W_eta for eta in (0, 1]: concave metric cost, exact LP.
-
-    |x-y|^eta is itself a metric, so the transport value equals the dual sup
-    over eta-Hoelder functions with seminorm <= 1 and carries no outer root.
-    Above the LP budget both measures are subsampled (systematic, fixed
-    seed) and the report records the subsample size.
-    """
-    if not 0 < eta <= 1:
-        raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    if m1 is m2:
-        return _zero(METHOD_LP)
-    if eta == 1.0 and m1.dim == 1:
-        # |x-y| is convex as well, so the monotone coupling is exact here.
-        return wasserstein_1d(m1, m2, 1.0)
-    return _subsampled_lp(m1, m2, eta)
-
-
-def wasserstein(m1: Measure, m2: Measure, k: float) -> DistanceReport:
-    """W_k dispatch: exact quantile coupling in 1D, exact LP otherwise.
-
-    Concave exponents route to :func:`wasserstein_eta`.  Above the LP budget
-    (only reachable for d >= 2) the measures are subsampled as in
-    :func:`wasserstein_eta`.
-    """
-    if k < 1:
-        return wasserstein_eta(m1, m2, k)
-    if m1.dim == 1:
-        return wasserstein_1d(m1, m2, k)
-    if m1 is m2:
-        return _zero(METHOD_LP)
-    return _subsampled_lp(m1, m2, k)
 
 
 def _variation_weight(r: np.ndarray, theta: float) -> np.ndarray:
@@ -214,11 +197,9 @@ def weighted_variation_atoms(m1: Measure, m2: Measure, theta: float = 0.0) -> Di
 
 def transport(a: Measure, b: Measure, k: float, eta: float) -> float:
     """W_k + W_eta between two measures, the node distance of rho_lambda."""
-    if k == eta == 1.0 and a.dim == 1:
-        # Both terms are the same exact 1D W_1: compute it once.
-        w = wasserstein_1d(a, b, 1.0).value
-        return w + w
-    return wasserstein(a, b, k).value + wasserstein_eta(a, b, eta).value
+    wk = wasserstein(a, b, k).value
+    # eta == k <= 1: both terms are one distance, computed once.
+    return wk + (wk if eta == k <= 1 else wasserstein_eta(a, b, eta).value)
 
 
 def node_distances(f1: Flow, f2: Flow, dist) -> list:

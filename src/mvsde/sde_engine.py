@@ -20,10 +20,9 @@ import numpy as np
 
 from .coefficients import Model, drift_batch, sigma_batch
 from .errors import DomainError
-from .measures import Flow, Measure, left_node, resample
+from .measures import TIME_TOL, Flow, Measure, left_node, resample
 
 _INIT_STREAM = 0x517CC1B727220A95  # sub-stream tag for initial-condition resampling
-TIME_TOL = 1e-12  # times closer than this are one node
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,12 @@ MODELS = REPO / "models"
 CONFIGS = REPO / "configs"
 
 
-def _scalar_model(name, drift, sigma_expr, K, b_sup, grad=0.0, k=1.0, eta=1.0, beta=1.0):
+def _scalar_model(name, drift, sigma_expr, K, b_sup, k=1.0, eta=1.0, beta=1.0):
     return Model.from_json({
         "name": name, "dim": 1,
         "drift": [drift],
         "diffusion": {"kind": "scalar", "exprs": [sigma_expr]},
-        "constants": {"K": K, "k": k, "eta": eta, "beta": beta,
-                      "b_sup": b_sup, "grad_sigma_bound": grad},
+        "constants": {"K": K, "k": k, "eta": eta, "beta": beta, "b_sup": b_sup},
     })
 
 
@@ -61,7 +60,7 @@ def space_sigma_model():
         {"op": "const", "value": 0.0},
         {"op": "lincomb", "const": 1.0,
          "terms": [{"coef": 0.2, "arg": {"op": "tanh", "arg": {"op": "coord", "index": 0}}}]},
-        K=1.7, b_sup=0.0, grad=0.2)
+        K=1.7, b_sup=0.0)
 
 
 @pytest.fixture(scope="session")

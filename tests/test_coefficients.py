@@ -84,8 +84,7 @@ def test_spectrum_violation_raises():
         "name": "bad_sigma", "dim": 1,
         "drift": [{"op": "const", "value": 0.0}],
         "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 2.5}]},
-        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 0.0, "grad_sigma_bound": 0.0},
+        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.0},
     })
     with pytest.raises(AuditError):
         sigma_batch(bad, 0.0, [[0.0]], Measure.dirac([0.0]))
@@ -96,8 +95,7 @@ def test_b_sup_violation_raises():
         "name": "bad_drift", "dim": 1,
         "drift": [{"op": "const", "value": 1.0}],
         "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.0}]},
-        "constants": {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 0.5, "grad_sigma_bound": 0.0},
+        "constants": {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.5},
     })
     with pytest.raises(AuditError):
         drift_batch(bad, 0.0, [[0.0]], Measure.dirac([0.0]))
@@ -109,8 +107,7 @@ def test_audit_failure_reports_witness():
         "name": "understated", "dim": 1,
         "drift": [{"op": "const", "value": 0.0}],
         "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.5}]},
-        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 0.0, "grad_sigma_bound": 0.0},
+        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.0},
     })
     with pytest.raises(AuditError):
         lipschitz_audit(understated, n_samples=50, seed=0)
@@ -130,8 +127,7 @@ def test_config_errors_carry_pointers():
     with pytest.raises(ConfigError) as err:
         Model.from_json({"dim": 1, "drift": [{"op": "nope"}],
                          "diffusion": {"kind": "scalar", "exprs": []},
-                         "constants": {"K": 2, "k": 1, "eta": 1, "beta": 1,
-                                       "b_sup": 0, "grad_sigma_bound": 0}})
+                         "constants": {"K": 2, "k": 1, "eta": 1, "beta": 1, "b_sup": 0}})
     assert "/drift/0/op" in str(err.value)
     with pytest.raises(ConfigError) as err2:
         Model.from_json({"dim": 1, "drift": [], "diffusion": {}, "constants": {"K": 2}})
@@ -145,8 +141,7 @@ def test_integral_nesting_rejected():
             "drift": [{"op": "integral", "arg": {"op": "integral",
                                                  "arg": {"op": "coord", "index": 0}}}],
             "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.0}]},
-            "constants": {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                          "b_sup": 1.0, "grad_sigma_bound": 0.0},
+            "constants": {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 1.0},
         })
 
 
@@ -166,8 +161,7 @@ def test_eval_determinism(mixed_model):
 # Load-time validation: every bad number or node fails with a JSON pointer
 
 
-_CONSTANTS = {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 1.0,
-              "grad_sigma_bound": 0.0}
+_CONSTANTS = {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 1.0}
 
 
 def _spec(drift, constants=None, dim=1):
@@ -214,8 +208,7 @@ def test_lincomb_term_must_be_object():
      "/drift/0/terms/0/coef"),
     ({"op": "const", "value": 0.5}, {"b_sup": "BAD"}, "/constants/b_sup"),
     ({"op": "const", "value": 0.5}, {"k": "BAD"}, "/constants/k"),
-    ({"op": "const", "value": 0.5}, {"grad_sigma_bound": "BAD"},
-     "/constants/grad_sigma_bound"),
+    ({"op": "const", "value": 0.5}, {"beta": "BAD"}, "/constants/beta"),
 ])
 def test_non_finite_numbers_rejected(bad, drift, constants, pointer):
     spec = json.loads(json.dumps(_spec(drift, constants)).replace('"BAD"', json.dumps(bad)))
@@ -339,8 +332,7 @@ def _model_specs(draw):
              for _ in range(1 if kind == "scalar" else dim)]
     return {"name": "generated", "dim": dim, "drift": drift,
             "diffusion": {"kind": kind, "exprs": sigma},
-            "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                          "b_sup": 1e12, "grad_sigma_bound": 0.0}}
+            "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 1e12}}
 
 
 @settings(deadline=None, max_examples=60)

@@ -7,7 +7,7 @@ import numpy as np
 from mvsde.duhamel import DuhamelGrid
 from mvsde.experiments import ExperimentReport, Series, emit_report
 from mvsde.gaussian_kernel import exponent_scan
-from mvsde.measures import Density, GridSpec, Measure
+from mvsde.measures import Measure
 
 
 def test_measure_to_csv_bytes_path_and_buffer(tmp_path):
@@ -22,21 +22,6 @@ def test_measure_to_csv_bytes_path_and_buffer(tmp_path):
     one = io.StringIO()
     Measure.from_points([[3.0], [-0.5]]).to_csv(one)
     assert one.getvalue() == "w,x1\r\n0.5,3.0\r\n0.5,-0.5\r\n"
-
-
-def test_density_to_csv_bytes(tmp_path):
-    d1 = Density(GridSpec([0.0], [1.0], (2,)), np.array([0.5, 1.5]))
-    p = tmp_path / "d1.csv"
-    d1.to_csv(p)
-    assert p.read_bytes() == b"x1,value\r\n0.25,0.5\r\n0.75,1.5\r\n"
-    d2 = Density(GridSpec([0.0, 0.0], [1.0, 2.0], (2, 2)),
-                 np.array([[0.1, 0.2], [0.3, 1e-07]]), normalized=False)
-    buf = io.StringIO()
-    d2.to_csv(buf)
-    assert buf.getvalue() == (
-        "x1,x2,value\r\n0.25,0.5,0.1\r\n0.25,1.5,0.2\r\n"
-        "0.75,0.5,0.3\r\n0.75,1.5,1e-07\r\n"
-    )
 
 
 def _tiny_grid():

@@ -81,8 +81,7 @@ def test_dimension_guard():
         "name": "m2", "dim": 2,
         "drift": [{"op": "const", "value": 0.0}, {"op": "const", "value": 0.0}],
         "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.0}]},
-        "constants": {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 0.0, "grad_sigma_bound": 0.0},
+        "constants": {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.0},
     })
     f = Flow.constant(Measure.dirac([0.0, 0.0]), [0.0])
     with pytest.raises(DomainError):
@@ -166,8 +165,7 @@ def test_remainder_response_linear_in_flow_perturbation(arctan_model):
         "drift": [{"op": "const", "value": 1.0}],
         "diffusion": {"kind": "scalar",
                       "exprs": [{"op": "integral", "arg": {"op": "coord", "index": 0}}]},
-        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 1.0, "grad_sigma_bound": 0.0},
+        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 1.0},
     })
     base = _flow(1.0)
     grid = solve_density(drift_mean_sigma, base, base, 1.0, 0.0, 0.25, cells=512,

@@ -193,9 +193,9 @@ def test_gradient_refuses_unresolvable_separation(tmp_path):
         "times": [0.01, 0.02, 0.04],
         "sim": {"n_particles": 1000, "dt": 0.001, "seed": 3},
     }))
-    cfg = parse_config(p)
-    with pytest.raises(DomainError):
-        run_gradient(cfg)
+    with pytest.raises(ConfigError) as err:
+        parse_config(p)
+    assert err.value.pointer == "/gamma2"
 
 
 def test_flow_property_restart(arctan_model):
@@ -369,9 +369,8 @@ def test_gradient_names_the_bad_second_initial(tmp_path, gamma2):
     fields = {"gamma1": {"type": "dirac", "point": [0.0]}, "times": [0.01, 0.02, 0.04]}
     if gamma2 is not None:
         fields["gamma2"] = gamma2
-    cfg = parse_config(_brownian_config(tmp_path, "gradient", **fields), smoke=True)
     with pytest.raises(ConfigError) as err:
-        run_gradient(cfg)
+        parse_config(_brownian_config(tmp_path, "gradient", **fields), smoke=True)
     assert err.value.pointer == "/gamma2"
 
 
@@ -464,3 +463,114 @@ def test_ratios_below_one_catches_an_expanding_sweep(tmp_path, monkeypatch, oute
     assert below_one["name"] == "ratios_below_one"
     assert below_one["passed"] is (code == 0)
     assert below_one["value"] == max(outer_ratio, 0.3)
+
+
+def test_every_kind_has_one_runner_and_one_options_table():
+    assert set(experiments.OPTIONS) == set(experiments.RUNNERS)
+
+
+def _model_file(tmp_path, dim=1, kind="scalar"):
+    model = json.loads((CONFIGS.parent / "models" / "brownian.json").read_text())
+    model.update(dim=dim, drift=model["drift"] * dim)
+    exprs = model["diffusion"]["exprs"] * (dim if kind == "diag" else 1)
+    model["diffusion"] = {"kind": kind, "exprs": exprs}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    return "model.json"
+
+
+_TIMES = [0.02, 0.05, 0.1]
+
+
+@pytest.mark.parametrize("kind, fields, pointer", [
+    ("solve", {"options": {"tol": -1.0}}, "/options/tol"),
+    ("solve", {"options": {"tol": 0.0}}, "/options/tol"),
+    ("stability", {"gamma1": {"type": "dirac", "point": [1.0]},
+                   "options": {"deltas": [-0.01, 0.01, 0.1]}}, "/options/deltas/0"),
+    ("gradient", {"gamma2": {"type": "dirac", "point": [0.05]}, "times": _TIMES,
+                  "options": {"epsilons": [0.5, 0.0]}}, "/options/epsilons/1"),
+    ("duhamel", {"options": {"horizons": [-0.1, 0.1]}}, "/options/horizons/0"),
+    ("duhamel", {"options": {"horizons": [0.05, 0.2]}}, "/options/horizons/1"),
+    ("duhamel", {"options": {"tv_tol": -1}}, "/options/tv_tol"),
+    ("solve", {"sim": {"t1": 0.1, "dt": -0.001}}, "/sim/dt"),
+    ("solve", {"sim": {"t1": 0.1, "dt": 0.2}}, "/sim/dt"),
+    ("regularity", {"gamma2": {"type": "dirac", "point": [0.05]},
+                    "times": [0.02, 0.05, 0.2]}, "/times/2"),
+    ("regularity", {"gamma2": {"type": "dirac", "point": [0.05]}, "times": _TIMES,
+                    "sim": {"t0": 0.03, "t1": 0.1}}, "/times/0"),
+    ("duhamel", {"model": "diag"}, "/model"),
+])
+def test_cli_rejects_bad_run_values_at_parse_time(tmp_path, capsys, kind, fields, pointer):
+    # Each value used to pass, or to fail late without a pointer, or to be
+    # overridden by the runner after summary.json had echoed it.
+    if fields.get("model") == "diag":
+        fields = dict(fields, model=_model_file(tmp_path, kind="diag"))
+    cfg = _brownian_config(tmp_path, kind, **fields)
+    rc = cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"), "--smoke"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pointer}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, fields, pointer", [
+    ("regularity", {"times": [0.05, 0.1]}, "/times"),
+    ("gradient", {"gamma2": {"type": "dirac", "point": [0.05]}}, "/times"),
+    ("gradient", {"gamma1": {"type": "atoms", "points": [[0.0], [0.1]]},
+                  "gamma2": {"type": "dirac", "point": [0.05]}, "times": _TIMES}, "/gamma1"),
+    ("duhamel", {"model": 2, "gamma1": {"type": "dirac", "point": [0.0, 0.0]}}, "/model"),
+    ("duhamel", {"gamma1": {"type": "atoms", "points": [[1.0], [3.0]]}}, "/gamma1"),
+])
+def test_runner_inputs_fail_in_parse_config(tmp_path, kind, fields, pointer):
+    if fields.get("model") == 2:
+        fields = dict(fields, model=_model_file(tmp_path, dim=2))
+    with pytest.raises(ConfigError) as err:
+        parse_config(_brownian_config(tmp_path, kind, **fields), smoke=True)
+    assert err.value.pointer == pointer
+
+
+def _recording(monkeypatch, name, calls):
+    real = getattr(experiments, name)
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, record)
+
+
+def test_regularity_runs_the_sim_it_echoes(tmp_path, monkeypatch):
+    # crn false and a t1 past the last time point used to be echoed in
+    # summary.json and then replaced by crn true and t1 = times[-1].
+    path = _brownian_config(tmp_path, "regularity", gamma2={"type": "dirac", "point": [0.05]},
+                            times=_TIMES, sim={"n_particles": 500, "dt": 0.01, "t1": 0.2,
+                                               "crn": False, "seed": 3})
+    cfg = parse_config(path)
+    solves, sims = [], []
+    _recording(monkeypatch, "solve_mvsde", solves)
+    _recording(monkeypatch, "simulate_frozen", sims)
+    report = run_experiment(cfg)
+    assert report.metadata["config"]["sim"] == cfg.sim.to_json()
+    assert cfg.sim.t1 == 0.2 and cfg.sim.crn is False
+    assert [args[2] for args, _ in solves] == [cfg.sim, cfg.sim]
+    assert [args[4] for args, _ in sims] == [cfg.sim, cfg.sim]
+
+
+def test_duhamel_starts_at_t0(tmp_path, monkeypatch):
+    # t0 = 0.1 used to be echoed and then replaced by 0.
+    raw = json.loads((CONFIGS / "duhamel_arctan.json").read_text())
+    raw["model"] = str(CONFIGS.parent / "models" / "arctan_drift.json")
+    raw["sim"].update(t0=0.1, t1=0.3)
+    raw["options"]["horizons"] = [0.2, 0.3]
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    cfg = parse_config(tmp_path / "cfg.json", smoke=True)
+    solves, densities, sims = [], [], []
+    _recording(monkeypatch, "solve_mvsde", solves)
+    _recording(monkeypatch, "solve_density", densities)
+    _recording(monkeypatch, "simulate_frozen", sims)
+    run_experiment(cfg)
+    [(args, _)] = solves
+    assert args[2] == replace(cfg.sim, n_particles=min(cfg.sim.n_particles,
+                                                       experiments.FLOW_PARTICLES))
+    assert [args[4:6] for args, _ in densities] == [(0.1, 0.2), (0.1, 0.3)]
+    assert [(args[4].t0, args[4].t1) for args, _ in sims] == [(0.1, 0.2), (0.1, 0.3)]
+    assert all(args[4].crn == cfg.sim.crn for args, _ in sims)

@@ -46,7 +46,7 @@ def _record_simulations(monkeypatch) -> list:
 
 
 def test_lambda_schedule_formula():
-    c = ModelConstants(K=1.5, k=1.0, eta=1.0, beta=1.0, b_sup=0.0, grad_sigma_bound=0.0)
+    c = ModelConstants(K=1.5, k=1.0, eta=1.0, beta=1.0, b_sup=0.0)
     lam = lambda_schedule(c, gamma_moment=1.0)
     assert lam == pytest.approx(4.0 * math.pi, rel=1e-12)
     # monotone in the initial moment weight

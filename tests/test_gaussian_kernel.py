@@ -42,8 +42,7 @@ def test_frozen_covariance_scaled():
         "name": "c_sigma", "dim": 1,
         "drift": [{"op": "const", "value": 0.0}],
         "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.3}]},
-        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 0.0, "grad_sigma_bound": 0.0},
+        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.0},
     })
     cov = frozen_covariance(model, _const_flow(), [0.0], 0.0, 0.5)
     assert cov.a[0, 0] == pytest.approx(1.3**2 * 0.5, abs=1e-12)
@@ -57,8 +56,7 @@ def test_frozen_covariance_time_varying_oracle():
         "diffusion": {"kind": "scalar", "exprs": [
             {"op": "lincomb", "const": 1.0,
              "terms": [{"coef": 0.5, "arg": {"op": "time"}}]}]},
-        "constants": {"K": 2.5, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 0.0, "grad_sigma_bound": 0.5},
+        "constants": {"K": 2.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.0},
     })
     cov = frozen_covariance(model, _const_flow(), [0.0], 0.0, 1.0)
     assert cov.a[0, 0] == pytest.approx(19.0 / 12.0, abs=1e-4)
@@ -69,8 +67,7 @@ def test_frozen_covariance_flow_coverage():
         "name": "cov", "dim": 1,
         "drift": [{"op": "const", "value": 0.0}],
         "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.0}]},
-        "constants": {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 0.0, "grad_sigma_bound": 0.0},
+        "constants": {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.0},
     })
     flow = Flow([0.0, 0.5], (Measure.dirac([0.0]), Measure.dirac([1.0])))
     with pytest.raises(DomainError):
@@ -86,8 +83,7 @@ def test_variance_profile_shape_and_values():
             {"op": "const", "value": 1.2},
             {"op": "lincomb", "const": 1.0, "terms": [
                 {"coef": 0.25, "arg": {"op": "tanh", "arg": {"op": "coord", "index": 0}}}]}]},
-        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 0.0, "grad_sigma_bound": 0.25},
+        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.0},
     })
     flow = Flow.constant(Measure.dirac([0.0, 0.0]), [0.0])
     pts = np.array([[0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]])

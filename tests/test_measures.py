@@ -9,7 +9,6 @@ from scipy.stats import norm
 
 from mvsde.errors import DomainError, NumericsError
 from mvsde.measures import (
-    Density,
     Flow,
     GridSpec,
     Measure,
@@ -147,16 +146,6 @@ def test_measure_csv_roundtrip(tmp_path):
     assert np.array_equal(back.weights, m.weights)
 
 
-def test_density_csv_roundtrip(tmp_path):
-    m = Measure.from_points(np.linspace(-1, 1, 50)[:, None])
-    dens = to_density(m, bandwidth=0.2)
-    p = tmp_path / "d.csv"
-    dens.to_csv(p)
-    back = Density.from_csv(p)
-    assert back.grid.same_as(dens.grid, tol=1e-9)
-    assert np.allclose(back.values, dens.values)
-
-
 def test_flow_validation_and_lookup():
     m = Measure.dirac([0.0])
     with pytest.raises(DomainError):
@@ -209,21 +198,3 @@ def test_measure_csv_roundtrip_bit_identical(data):
     back = Measure.from_csv(buf)
     assert back.points.tobytes() == m.points.tobytes()
     assert back.weights.tobytes() == m.weights.tobytes()
-
-
-@settings(deadline=None)
-@given(st.data())
-def test_density_csv_roundtrip_same_grid(data):
-    dim = data.draw(st.sampled_from([1, 2]))
-    lo = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=dim, max_size=dim)))
-    span = np.array(data.draw(st.lists(st.floats(0.1, 10), min_size=dim, max_size=dim)))
-    shape = tuple(data.draw(st.lists(st.integers(2, 40), min_size=dim, max_size=dim)))
-    vals = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=int(np.prod(shape)),
-                                       max_size=int(np.prod(shape))))).reshape(shape)
-    dens = Density(GridSpec(lo, lo + span, shape), vals, normalized=False)
-    buf = io.StringIO()
-    dens.to_csv(buf)
-    buf.seek(0)
-    back = Density.from_csv(buf)
-    assert back.grid.same_as(dens.grid, tol=1e-9)
-    assert back.values.tobytes() == dens.values.tobytes()

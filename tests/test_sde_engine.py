@@ -188,8 +188,7 @@ def test_two_dimensional_diagonal_diffusion():
         "drift": [{"op": "const", "value": 0.0}, {"op": "const", "value": 0.0}],
         "diffusion": {"kind": "diag", "exprs": [{"op": "const", "value": 1.0},
                                                 {"op": "const", "value": 0.5}]},
-        "constants": {"K": 4.5, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 0.0, "grad_sigma_bound": 0.0},
+        "constants": {"K": 4.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.0},
     })
     flow = Flow.constant(Measure.dirac([0.0, 0.0]), [0.0])
     cfg = SimConfig(50_000, 1e-2, 0.0, 0.25, seed=8)
@@ -229,8 +228,7 @@ def _time_model():
             {"coef": 0.1, "arg": {"op": "tanh", "arg": {"op": "integral", "arg": {
                 "op": "lincomb", "terms": [{"coef": 3.0, "arg": time},
                                            {"coef": 1.0, "arg": {"op": "norm"}}]}}}}]}]},
-        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0,
-                      "b_sup": 1.0, "grad_sigma_bound": 0.0},
+        "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 1.0},
     })
 
 
