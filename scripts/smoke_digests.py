@@ -10,6 +10,12 @@ any config exits non-zero.  The digest is
 experiment writes with the checkout path replaced, so two checkouts that
 compute the same outputs print the same lines.  Outputs go to a temporary
 directory that is removed afterwards.
+
+``scripts/smoke_digests.txt`` holds the lines this script prints with
+numpy 2.4.6 and scipy 1.17.1, and CI compares its output with that file; a
+change that moves outputs on purpose updates the file and says so::
+
+    python3 scripts/smoke_digests.py | diff scripts/smoke_digests.txt -
 """
 
 from __future__ import annotations

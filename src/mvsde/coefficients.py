@@ -30,13 +30,12 @@ number that is not a finite JSON number, and a nested integral, with a
 :class:`ConfigError` carrying the JSON pointer of the offending field.
 
 Each node lists its sub-expressions in x as ``children``; the base class
-derives ``uses_space``, ``uses_measure``, ``uses_time`` and ``lipschitz``
-from one walk over them (abs/tanh/arctan/min1 are 1-Lipschitz outer maps).
-Nodes override only where they differ: ``Coord`` and ``Norm`` read the state
-with constant 1, ``TimeVar`` reads the time, ``LinComb`` weights its
-children's constants by |coef|, and ``Integral`` reads the measure and is a
-leaf, its argument being a function of the integration variable, not of x;
-it reads the time when its argument does, since psi is evaluated at t.
+derives ``uses_space``, ``uses_measure`` and ``uses_time`` from one walk
+over them.  Nodes override only where they differ: ``Coord`` and ``Norm``
+read the state, ``TimeVar`` reads the time, and ``Integral`` reads the
+measure and is a leaf, its argument being a function of the integration
+variable, not of x; it reads the time when its argument does, since psi is
+evaluated at t.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ class Expr:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def lipschitz(self) -> float:
-        """Upper bound on the space-Lipschitz constant (finite for every op)."""
-        return sum((c.lipschitz() for c in self.children), 0.0)
-
     def uses_space(self) -> bool:
         return any(c.uses_space() for c in self.children)
 
@@ -114,10 +109,7 @@ class TimeVar(Expr):
 
 
 class _StateLeaf(Expr):
-    """A 1-Lipschitz read of the state variable."""
-
-    def lipschitz(self):
-        return 1.0
+    """A read of the state variable."""
 
     def uses_space(self):
         return True
@@ -180,9 +172,6 @@ class LinComb(Expr):
         for coef, node in self.terms:
             out = out + coef * node.evaluate(t, points, measure)
         return out
-
-    def lipschitz(self):
-        return sum(abs(c) * n.lipschitz() for c, n in self.terms)
 
     def to_json(self):
         return {

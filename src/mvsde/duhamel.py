@@ -30,7 +30,6 @@ Numerical scheme
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,15 +86,14 @@ class DuhamelGrid:
 
     def density_csv(self, path) -> None:
         xs = self.centers()
-        # One time node at a time: a list of all rows would cost ~150 B per cell.
-        rows = itertools.chain.from_iterable(
-            np.column_stack([np.full(self.cells, ti), xs, row]).tolist()
-            for ti, row in zip(self.times, self.p))
-        write_csv(path, ["t", "x", "p"], rows)
+        # One block per time node: the text of all cells at once would cost
+        # ~150 B per cell.
+        write_csv(path, ["t", "x", "p"],
+                  *([np.full(self.cells, ti), xs, row] for ti, row in zip(self.times, self.p)))
 
     def residuals_csv(self, path) -> None:
-        rows = [[i, float(r)] for i, r in enumerate(self.residuals, 1)]
-        write_csv(path, ["iter", "residual"], rows)
+        write_csv(path, ["iter", "residual"],
+                  [range(1, len(self.residuals) + 1), self.residuals])
 
 
 def _require_1d_scalar(model: Model) -> None:

@@ -106,7 +106,7 @@ def emit_report(report: ExperimentReport, outdir) -> list:
     for s in report.series:
         csv_name = f"series_{s.name}.csv"
         path = os.path.join(outdir, csv_name)
-        write_csv(path, s.columns, np.array(s.rows, dtype=float).tolist())
+        write_csv(path, s.columns, np.array(s.rows, dtype=float).T)
         written.append(path)
         series_files.append(csv_name)
         gp_path = os.path.join(outdir, f"plot_{s.name}.gp")

@@ -235,7 +235,7 @@ def exponent_scan(i: int, eps: float, horizons, csv_path=None):
         rows.append((float(dt), float(val), float(val / dt**expo)))
     slope = float(np.polyfit(np.log(horizons), np.log([r[1] for r in rows]), 1)[0])
     if csv_path is not None:
-        write_csv(csv_path, ["t_s", "value", "fitted_c"], rows)
+        write_csv(csv_path, ["t_s", "value", "fitted_c"], np.array(rows).T)
     return slope, rows
 
 

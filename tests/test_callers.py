@@ -17,13 +17,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvsde"
 
 # Paper objects whose only callers are the acceptance tests that verify
-# them (criteria 02-05), and the CLI entry point.  ``Expr.lipschitz`` (and
-# its overrides) is the tree's space-Lipschitz bound; no package code reads
-# it since the audit measures that modulus by sampling, and only
-# test_coefficients calls it.
+# them (criteria 02-05), and the CLI entry point.
 ALLOWED = {
     "q_density", "q_derivatives", "comparison_kernel", "moment_integral_g1",
-    "exponent_scan", "perturbation_integral_g2", "remainder_R", "main", "lipschitz",
+    "exponent_scan", "perturbation_integral_g2", "remainder_R", "main",
 }
 
 

@@ -309,18 +309,6 @@ def _nodes(node, inside=False):
         yield from _nodes(arg, inside or node["op"] == "integral")
 
 
-def _lip(node):
-    """Reference state-Lipschitz bound of a JSON expression."""
-    op = node["op"]
-    if op in ("coord", "norm"):
-        return 1.0
-    if op == "lincomb":
-        return sum(abs(t["coef"]) * _lip(t["arg"]) for t in node["terms"])
-    if op in ("abs", "tanh", "arctan", "min1"):
-        return _lip(node["arg"])
-    return 0.0  # const, time, and integrals (constant in the state)
-
-
 @st.composite
 def _model_specs(draw):
     dim = draw(st.sampled_from([1, 2]))
@@ -357,7 +345,6 @@ def test_grammar_roundtrip_flags_and_evaluation(spec):
     assert model.sigma_measure_free == (not uses_measure(sigma_specs))
     assert model.drift_measure_free == (not uses_measure(spec["drift"]))
     for node, e in zip(spec["drift"] + sigma_specs, model.drift + model.diffusion.exprs):
-        assert e.lipschitz() == _lip(node)
         assert e.uses_time() == uses_time([node])
 
     rng = np.random.default_rng(0)
