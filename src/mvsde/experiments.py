@@ -30,7 +30,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError, check_bool, che
                      check_list, check_number, check_object, check_string, check_tagged)
 from .fixed_point import SOLVE_TOL, solve_mvsde
 from .measures import TIME_TOL, Flow, Measure, pooled_grid, resample, to_density, write_csv
-from .sde_engine import SimConfig, simulate_frozen
+from .sde_engine import SimConfig, simulate_frozen, simulate_many
 
 # Measure spec keys besides "type", per type: (required, optional).
 MEASURE_KEYS = {
@@ -437,8 +437,8 @@ def run_regularity(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
 
     flow_mu1 = solve_mvsde(cfg.model, gamma1, sim).solution
     flow_mu2 = flow_mu1 if gamma2 is gamma1 else solve_mvsde(cfg.model, gamma2, sim).solution
-    law1 = simulate_frozen(cfg.model, flow_mu1, flow_mu1, gamma1, sim, record_times=cfg.times)
-    law2 = simulate_frozen(cfg.model, flow_mu2, flow_mu2, gamma2, sim, record_times=cfg.times)
+    law1, law2 = simulate_many(cfg.model, [(flow_mu1, flow_mu1, gamma1, sim, cfg.times),
+                                           (flow_mu2, flow_mu2, gamma2, sim, cfg.times)])
 
     w0 = metrics.wasserstein(gamma1, gamma2, k).value
     tvs = np.array(metrics.node_distances(law1, law2, lambda a, b: shared_grid_tv(a, b, 0.0)))
@@ -491,10 +491,8 @@ def run_gradient(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     epsilons = [float(e) for e in cfg.option("epsilons", [0.25, 0.5, 1.0])]
 
     flow_mu = solve_mvsde(cfg.model, cfg.gamma1, cfg.sim).solution
-    law1 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma1, cfg.sim,
-                           record_times=cfg.times)
-    law2 = simulate_frozen(cfg.model, flow_mu, flow_mu, cfg.gamma2, cfg.sim,
-                           record_times=cfg.times)
+    law1, law2 = simulate_many(cfg.model, [(flow_mu, flow_mu, cfg.gamma1, cfg.sim, cfg.times),
+                                           (flow_mu, flow_mu, cfg.gamma2, cfg.sim, cfg.times)])
 
     def w_eps(e, m1, m2):
         if e >= 1.0:
@@ -604,13 +602,15 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
     else:
         flows = Flow.constant(cfg.gamma1, np.array([t0]))
 
+    grids = [solve_density(cfg.model, flows, flows, x0, t0, hz, cells=cells) for hz in horizons]
+    # One stack: the horizons read one noise block per step.
+    mcs = simulate_many(cfg.model, [
+        (flows, flows, cfg.gamma1,
+         replace(cfg.sim, n_particles=n_mc, t1=hz, seed=cfg.sim.seed + 17), [hz])
+        for hz in horizons])
     assertions = []
     rows = []
-    for hz in horizons:
-        grid = solve_density(cfg.model, flows, flows, x0, t0, hz, cells=cells)
-        mc_sim = replace(cfg.sim, n_particles=n_mc, t1=hz, seed=cfg.sim.seed + 17)
-        mc = simulate_frozen(cfg.model, flows, flows, cfg.gamma1, mc_sim,
-                             record_times=np.array([t0, hz]))
+    for hz, grid, mc in zip(horizons, grids, mcs):
         sample = mc.measures[-1].points[:, 0]
         edges = grid.edges()
         hist, _ = np.histogram(sample, bins=edges)

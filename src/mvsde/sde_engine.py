@@ -8,12 +8,23 @@ bit-identical Brownian increments regardless of their flows or initials --
 this is the common-random-numbers coupling used by every comparison
 experiment.  With ``crn=False`` the key is additionally mixed with a digest
 of the inputs, decoupling the noise while staying deterministic.
+
+Because each block is keyed by its step, blocks can be drawn in any order
+and on any thread.  During a simulation call, two worker threads draw the
+call's blocks ahead into a ring of up to three preallocated buffers; the
+Euler update stays on the calling thread, and no thread outlives the call.
+:func:`simulate_many` steps several runs side by side: runs sharing (seed,
+noise key, particle shape) read one block per step, and runs whose inputs
+are the same objects share one state until their step nodes differ.
+:func:`simulate_frozen` is its one-run case.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +34,10 @@ from .errors import DomainError
 from .measures import TIME_TOL, Flow, Measure, left_node, resample
 
 _INIT_STREAM = 0x517CC1B727220A95  # sub-stream tag for initial-condition resampling
+_CHUNK_FLOATS = 1 << 16  # 512 KiB of normals per ring buffer (at least one block)
+# Drawing threads per simulation call: the count measured on a 2-core host.
+# The ring holds one buffer more, so it is at most three chunks.
+_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -66,13 +81,96 @@ def _content_digest(init: Measure, mu_flow: Flow, nu_flow: Flow) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _step_noise(seed: int, extra: int, step: int, shape) -> np.ndarray:
-    # Stream index lives in the most significant counter word, so streams
-    # never collide however many draws one step consumes.
-    key = np.array([seed % 2**64, extra % 2**64], dtype=np.uint64)
-    counter = np.array([0, 0, 0, step], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
-    return gen.standard_normal(shape)
+def _draw(blocks) -> None:
+    """Fill each ``(key, counter, out)`` block in place with Philox normals.
+
+    Runs on a worker thread, so it calls nothing the benchmark tracer wraps
+    and allocates no array of its own: ``out`` is a view into the ring.
+    Each block starts from the state of a fresh generator at its key and
+    counter, set on one generator per chunk: building a generator per block
+    would hold the interpreter lock about seven times longer, and the
+    Euler loop waits for that lock.
+    """
+    bitgen = np.random.Philox(key=blocks[0][0], counter=blocks[0][1])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for key, counter, out in blocks:
+        state["state"] = {"counter": counter, "key": key}
+        bitgen.state = state
+        gen.standard_normal(out=out)
+
+
+class _NoiseAhead:
+    """The noise blocks of one simulation call, drawn ahead on worker threads.
+
+    ``blocks`` lists ``(seed, extra, step, shape)`` in the order the Euler
+    loop reads them.  Block ``step`` of stream (seed, extra) is the Philox
+    stream with key (seed, extra) and the step in the most significant
+    counter word, so streams never collide however many draws one step
+    consumes.  Blocks are packed in reading order into chunks of about
+    512 KiB; ``workers + 1`` chunk buffers, allocated here on the calling
+    thread, are refilled in place while the caller reads the others.  Use
+    as a context manager: leaving it cancels what is queued and joins the
+    workers.
+    """
+
+    def __init__(self, blocks):
+        cap = max(_CHUNK_FLOATS, max(math.prod(b[3]) for b in blocks))
+        self._chunks = []  # [(seed, extra, step, offset, shape)] per chunk
+        used = cap
+        for seed, extra, step, shape in blocks:
+            if used + math.prod(shape) > cap:
+                self._chunks.append([])
+                used = 0
+            self._chunks[-1].append((seed, extra, step, used, shape))
+            used += math.prod(shape)
+        self._workers = min(_WORKERS, len(self._chunks))
+        size = max(b[3] + math.prod(b[4]) for chunk in self._chunks for b in chunk)
+        self._ring = [np.empty(size) for _ in range(min(self._workers + 1, len(self._chunks)))]
+        self._queued = deque()  # (future, views) of the chunks not yet read
+        self._submitted = 0
+        self._views, self._pos = [], 0  # the chunk being read
+
+    def __enter__(self):
+        self._pool = ThreadPoolExecutor(max_workers=self._workers)
+        for _ in self._ring:
+            self._submit()
+        return self
+
+    def __exit__(self, *exc):
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def _submit(self) -> None:
+        """Queue the next chunk into the buffer of the chunk ``len(ring)`` before it."""
+        c = self._submitted
+        if c == len(self._chunks):
+            return
+        buf = self._ring[c % len(self._ring)]
+        views, items = [], []
+        for seed, extra, step, off, shape in self._chunks[c]:
+            views.append(buf[off:off + math.prod(shape)].reshape(shape))
+            items.append((np.array([seed % 2**64, extra % 2**64], dtype=np.uint64),
+                          np.array([0, 0, 0, step], dtype=np.uint64), views[-1]))
+        self._queued.append((self._pool.submit(_draw, items), views))
+        self._submitted += 1
+
+    def next(self) -> np.ndarray:
+        if self._pos == len(self._views):
+            if self._views:  # the caller is done with this chunk: refill its buffer
+                self._submit()
+            future, self._views = self._queued.popleft()
+            future.result()
+            self._pos = 0
+        self._pos += 1
+        return self._views[self._pos - 1]
+
+
+def _step_noise(stream: _NoiseAhead) -> np.ndarray:
+    """The next ``(N, d)`` block of ``stream``; valid until the next call.
+
+    The one per-step noise call, made on the calling thread.
+    """
+    return stream.next()
 
 
 def _initial_ensemble(init: Measure, n: int, seed: int) -> Measure:
@@ -139,6 +237,102 @@ def _coefficient(batch, model: Model, exprs, flow: Flow, grid: np.ndarray):
     return at
 
 
+class _Run:
+    """One run of :func:`simulate_many`: its schedule, evaluators and state."""
+
+    def __init__(self, model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
+                 cfg: SimConfig, record_times, ensembles: dict):
+        if init.dim != model.dim:
+            raise DomainError(f"initial dimension {init.dim} != model dimension {model.dim}")
+        for name, fl in (("mu", mu_flow), ("nu", nu_flow)):
+            if fl.dim != model.dim:
+                raise DomainError(f"{name} flow dimension {fl.dim} != model dimension {model.dim}")
+            if not fl.covers(cfg.t0, cfg.t1):
+                raise DomainError(
+                    f"{name} flow on [{fl.times[0]}, {fl.times[-1]}] does not cover "
+                    f"[{cfg.t0}, {cfg.t1}]"
+                )
+
+        rt = np.asarray(record_times, dtype=float).ravel()
+        if rt.size == 0:
+            raise DomainError("record_times must be non-empty")
+        if rt.min() < cfg.t0 - TIME_TOL or rt.max() > cfg.t1 + TIME_TOL:
+            raise DomainError("record_times must lie within [t0, t1]")
+        self.times = np.unique(rt)
+
+        self.grid = _schedule(cfg, self.times)
+        self.steps = len(self.grid) - 1
+        self.recorded = set(_record_nodes(self.grid, self.times))
+        self.flows = (mu_flow, nu_flow)
+        self.dim = model.dim
+        self.sigma = _coefficient(sigma_batch, model, model.diffusion.exprs, nu_flow, self.grid)
+        self.drift = (_coefficient(drift_batch, model, model.drift, mu_flow, self.grid)
+                      if model.constants.b_sup > 0 else None)
+        # Runs from the same initial object, count and seed start on one state.
+        start = (id(init), cfg.n_particles, cfg.seed)
+        if start not in ensembles:
+            ensembles[start] = _initial_ensemble(init, cfg.n_particles, cfg.seed)
+        ensemble = ensembles[start]
+        self.X, self.w = ensemble.points, ensemble.weights
+        extra = 0 if cfg.crn else _content_digest(init, mu_flow, nu_flow)
+        self.noise = (cfg.seed, extra, self.X.shape)
+        self.laws = [Measure(self.X.copy(), self.w, self.dim)] if 0 in self.recorded else []
+
+    def shares(self, step: int) -> tuple:
+        """What the update at ``step`` reads besides the noise block."""
+        return (id(self.X), *map(id, self.flows), self.grid[step], self.grid[step + 1])
+
+    def update(self, step: int, z: np.ndarray) -> np.ndarray:
+        """The state after ``step``, from the unit-variance noise block ``z``."""
+        X = self.X
+        h = self.grid[step + 1] - self.grid[step]
+        noise = self.sigma(step, X) * (z * math.sqrt(h))
+        if self.drift is not None:
+            return X + self.drift(step, X) * h + noise
+        return X + noise
+
+    def take(self, step: int, X: np.ndarray) -> None:
+        """Adopt the state after ``step``; record it, or release it at the end."""
+        if step + 1 in self.recorded:
+            self.laws.append(Measure(X.copy(), self.w, self.dim))
+        self.X = X if step + 1 < self.steps else None
+
+
+def simulate_many(model: Model, runs) -> list:
+    """Euler-Maruyama for several runs of one model, stepped side by side.
+
+    Each run is ``(mu_flow, nu_flow, init, cfg, record_times)``; the result
+    lists, in run order, the flow :func:`simulate_frozen` returns for each,
+    to the bit.  Each run keeps its own schedule.  Runs sharing (seed, noise
+    key, particle shape) read one noise block per step index, each scaled
+    by its own step.  Runs whose initial law, particle count and seed are
+    the same objects and values share one state, and one update per step,
+    while their flows and step nodes agree: runs up to different horizons
+    fork where the shorter schedule's last step begins.
+    """
+    ensembles = {}
+    runs = [_Run(model, *run, ensembles) for run in runs]
+    del ensembles  # each state is released when its last run ends
+    noises = list(dict.fromkeys(r.noise for r in runs))
+    ends = {k: max(r.steps for r in runs if r.noise == k) for k in noises}
+    reads = [[k for k in noises if step < ends[k]] for step in range(max(ends.values()))]
+    blocks = [(seed, extra, step, shape)
+              for step, keys in enumerate(reads) for seed, extra, shape in keys]
+    with _NoiseAhead(blocks) as stream:
+        for step, keys in enumerate(reads):
+            for key in keys:
+                z = _step_noise(stream)
+                shared = {}
+                for r in runs:
+                    if r.noise == key and step < r.steps:
+                        shared.setdefault(r.shares(step), []).append(r)
+                for group in shared.values():
+                    X = group[0].update(step, z)
+                    for r in group:
+                        r.take(step, X)
+    return [Flow(r.times, tuple(r.laws)) for r in runs]
+
+
 def simulate_frozen(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
                     cfg: SimConfig, record_times) -> Flow:
     """Euler-Maruyama for X' = b(X, mu_t) dt + sigma(X, nu_t) dW on [t0, t1].
@@ -147,45 +341,8 @@ def simulate_frozen(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
     further than the time tolerance from the others.  Deterministic, and
     bit-identical across runs sharing (seed, schedule) when crn is set.
     Drift and diffusion are evaluated once per row, flow node or step,
-    according to what their expression trees read.
+    according to what their expression trees read.  The one-run case of
+    :func:`simulate_many`.
     """
-    if init.dim != model.dim:
-        raise DomainError(f"initial dimension {init.dim} != model dimension {model.dim}")
-    for name, fl in (("mu", mu_flow), ("nu", nu_flow)):
-        if fl.dim != model.dim:
-            raise DomainError(f"{name} flow dimension {fl.dim} != model dimension {model.dim}")
-        if not fl.covers(cfg.t0, cfg.t1):
-            raise DomainError(
-                f"{name} flow on [{fl.times[0]}, {fl.times[-1]}] does not cover "
-                f"[{cfg.t0}, {cfg.t1}]"
-            )
-
-    rt = np.asarray(record_times, dtype=float).ravel()
-    if rt.size == 0:
-        raise DomainError("record_times must be non-empty")
-    if rt.min() < cfg.t0 - TIME_TOL or rt.max() > cfg.t1 + TIME_TOL:
-        raise DomainError("record_times must lie within [t0, t1]")
-    rt = np.unique(rt)
-
-    grid = _schedule(cfg, rt)
-    recorded = set(_record_nodes(grid, rt))
-    sigma = _coefficient(sigma_batch, model, model.diffusion.exprs, nu_flow, grid)
-    drift = (_coefficient(drift_batch, model, model.drift, mu_flow, grid)
-             if model.constants.b_sup > 0 else None)
-    extra = 0 if cfg.crn else _content_digest(init, mu_flow, nu_flow)
-    ensemble = _initial_ensemble(init, cfg.n_particles, cfg.seed)
-    X = ensemble.points.copy()
-    w = ensemble.weights
-
-    laws = [Measure(X.copy(), w, model.dim)] if 0 in recorded else []
-    for step in range(len(grid) - 1):
-        h = grid[step + 1] - grid[step]
-        dw = _step_noise(cfg.seed, extra, step, X.shape) * math.sqrt(h)
-        noise = sigma(step, X) * dw
-        if drift is not None:
-            X = X + drift(step, X) * h + noise
-        else:
-            X = X + noise
-        if step + 1 in recorded:
-            laws.append(Measure(X.copy(), w, model.dim))
-    return Flow(rt, tuple(laws))
+    [flow] = simulate_many(model, [(mu_flow, nu_flow, init, cfg, record_times)])
+    return flow

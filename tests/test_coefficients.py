@@ -101,6 +101,40 @@ def test_b_sup_violation_raises():
         drift_batch(bad, 0.0, [[0.0]], Measure.dirac([0.0]))
 
 
+def _state_drift(b_sup):
+    x, y = {"op": "coord", "index": 0}, {"op": "coord", "index": 1}
+    return Model.from_json({
+        "name": "state_drift", "dim": 2, "drift": [x, y],
+        "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.0}]},
+        "constants": {"K": 1.5, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": b_sup},
+    })
+
+
+def test_b_sup_violation_names_the_worst_row():
+    # The message is the one the per-row np.linalg.norm check wrote.
+    model = _state_drift(1.0)
+    points = np.array([[0.3, 0.4], [3.0, -4.0], [-4.0, 3.0], [0.0, 1.0]])
+    norms = np.linalg.norm(points, axis=1)
+    i = int(norms.argmax())
+    expected = (f"|b|={float(norms.max()):.6g} exceeds declared b_sup=1.0 "
+                f"at t=0.25, x={points[i]}")
+    with pytest.raises(AuditError) as err:
+        drift_batch(model, 0.25, points, Measure.dirac([0.0, 0.0]))
+    assert str(err.value) == expected and i == 1
+
+
+def test_b_sup_slack_is_inclusive():
+    from mvsde.coefficients import _BSUP_SLACK
+
+    edge = 0.5 + _BSUP_SLACK
+    model = _state_drift(0.5)
+    m = Measure.dirac([0.0, 0.0])
+    b = drift_batch(model, 0.0, [[edge, 0.0], [0.0, -edge], [0.1, 0.2]], m)
+    assert np.array_equal(b[:, 0], [edge, 0.0, 0.1])
+    with pytest.raises(AuditError):
+        drift_batch(model, 0.0, [[0.0, np.nextafter(edge, 1.0)]], m)
+
+
 def test_audit_failure_reports_witness():
     # Declared K understates the true ellipticity bound: sigma^2 = 2.25 > 2.
     understated = Model.from_json({

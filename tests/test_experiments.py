@@ -379,13 +379,13 @@ def test_tv_horizons_catch_a_drift_dropped_on_one_side(tmp_path, monkeypatch, fa
     # Falsifier: a Monte Carlo reference that runs without the drift the
     # Duhamel solver keeps must fail every tv_horizon_* assertion.
     if fault:
-        simulate = experiments.simulate_frozen
+        simulate = experiments.simulate_many
 
         def drift_free(model, *args, **kwargs):
             zero = replace(model, drift=tuple(Const(0.0) for _ in model.drift))
             return simulate(zero, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "simulate_frozen", drift_free)
+        monkeypatch.setattr(experiments, "simulate_many", drift_free)
     out = tmp_path / "out"
     rc = cli.main(["duhamel", "--config", str(CONFIGS / "duhamel_arctan.json"),
                    "--out", str(out), "--smoke"])
@@ -547,12 +547,12 @@ def test_regularity_runs_the_sim_it_echoes(tmp_path, monkeypatch):
     cfg = parse_config(path)
     solves, sims = [], []
     _recording(monkeypatch, "solve_mvsde", solves)
-    _recording(monkeypatch, "simulate_frozen", sims)
+    _recording(monkeypatch, "simulate_many", sims)
     report = run_experiment(cfg)
     assert report.metadata["config"]["sim"] == cfg.sim.to_json()
     assert cfg.sim.t1 == 0.2 and cfg.sim.crn is False
     assert [args[2] for args, _ in solves] == [cfg.sim, cfg.sim]
-    assert [args[4] for args, _ in sims] == [cfg.sim, cfg.sim]
+    assert [run[3] for args, _ in sims for run in args[1]] == [cfg.sim, cfg.sim]
 
 
 def test_duhamel_starts_at_t0(tmp_path, monkeypatch):
@@ -566,11 +566,12 @@ def test_duhamel_starts_at_t0(tmp_path, monkeypatch):
     solves, densities, sims = [], [], []
     _recording(monkeypatch, "solve_mvsde", solves)
     _recording(monkeypatch, "solve_density", densities)
-    _recording(monkeypatch, "simulate_frozen", sims)
+    _recording(monkeypatch, "simulate_many", sims)
     run_experiment(cfg)
     [(args, _)] = solves
     assert args[2] == replace(cfg.sim, n_particles=min(cfg.sim.n_particles,
                                                        experiments.FLOW_PARTICLES))
     assert [args[4:6] for args, _ in densities] == [(0.1, 0.2), (0.1, 0.3)]
-    assert [(args[4].t0, args[4].t1) for args, _ in sims] == [(0.1, 0.2), (0.1, 0.3)]
-    assert all(args[4].crn == cfg.sim.crn for args, _ in sims)
+    [(args, _)] = sims
+    assert [(run[3].t0, run[3].t1) for run in args[1]] == [(0.1, 0.2), (0.1, 0.3)]
+    assert all(run[3].crn == cfg.sim.crn for run in args[1])

@@ -1,12 +1,18 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvsde import metrics
+from mvsde import metrics, sde_engine
 from mvsde.errors import DomainError
 from mvsde.measures import Flow, Measure
-from mvsde.sde_engine import SimConfig, simulate_frozen, step_times
+from mvsde.sde_engine import SimConfig, simulate_frozen, simulate_many, step_times
 
 
 def _const_flow(x=0.0):
@@ -247,6 +253,13 @@ def _varying_flow(t1, nodes, seed):
                              for i in range(nodes)))
 
 
+def _philox_block(seed, extra, step, shape):
+    """Noise block ``step``: Philox keyed by (seed, extra), the step in the top counter word."""
+    key = np.array([seed % 2**64, extra % 2**64], dtype=np.uint64)
+    counter = np.array([0, 0, 0, step], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal(shape)
+
+
 def _reference_euler(model, mu_flow, nu_flow, init, cfg, record_times):
     """Euler loop evaluating drift and sigma on every row at every step via Flow.at."""
     from mvsde import sde_engine
@@ -259,7 +272,7 @@ def _reference_euler(model, mu_flow, nu_flow, init, cfg, record_times):
     for step in range(len(grid) - 1):
         t, h = grid[step], grid[step + 1] - grid[step]
         s = sigma_batch(model, t, X, nu_flow.at(t))
-        noise = s * (sde_engine._step_noise(cfg.seed, extra, step, X.shape) * math.sqrt(h))
+        noise = s * (_philox_block(cfg.seed, extra, step, X.shape) * math.sqrt(h))
         if model.constants.b_sup > 0:
             X = X + drift_batch(model, t, X, mu_flow.at(t)) * h + noise
         else:
@@ -316,3 +329,175 @@ def test_kernel_evaluates_each_coefficient_as_often_as_it_reads(
     # 62 steps, one of them split at 0.0205: 63 schedule steps; the flow's
     # 9th node is t1, so the steps read its first 8
     assert counts == {"drift_batch": drift_calls, "sigma_batch": sigma_calls}
+
+
+# ---------------------------------------------------------------------------
+# Stacked runs and the noise drawn ahead
+
+
+_T1S = (0.0625, 0.04, 0.05)  # 0.0625 / 1e-3 leaves a ragged last step
+_RECORD = (0.0, 0.0205, 0.03125, 0.0371)  # all but 0.0 off the step grids
+
+
+def _pools():
+    rng = np.random.default_rng(3)
+    flows = (_varying_flow(0.0625, 9, 1), _varying_flow(0.0625, 1, 2))
+    inits = (Measure.from_points(rng.normal(0.5, 1.0, (37, 1))), Measure.dirac([0.2]))
+    return flows, inits
+
+
+_FLOWS, _INITS = _pools()
+
+
+@st.composite
+def _stack(draw):
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        t1 = draw(st.sampled_from(_T1S))
+        cfg = SimConfig(draw(st.sampled_from([37, 50])), draw(st.sampled_from([1e-3, 2.5e-3])),
+                        0.0, t1, seed=draw(st.sampled_from([4, 5])), crn=draw(st.booleans()))
+        record = draw(st.lists(st.sampled_from([t for t in _RECORD if t < t1] + [t1]),
+                               min_size=1, max_size=3, unique=True))
+        mu, nu = draw(st.sampled_from(_FLOWS)), draw(st.sampled_from(_FLOWS))
+        runs.append((mu, nu, draw(st.sampled_from(_INITS)), cfg, record))
+    return runs
+
+
+def _same_flow(a, b):
+    return (np.array_equal(a.times, b.times) and len(a.measures) == len(b.measures)
+            and all(np.array_equal(x.points, y.points) and np.array_equal(x.weights, y.weights)
+                    for x, y in zip(a.measures, b.measures)))
+
+
+@pytest.mark.parametrize("name", ["mixed_model", "tanh_drift_model", "space_sigma_model"])
+@settings(max_examples=25, deadline=None)
+@given(runs=_stack())
+def test_stack_matches_standalone_runs(request, name, runs):
+    # Shared inits and flows make some runs share state until their ragged
+    # horizons or off-grid record times split their schedules.
+    model = request.getfixturevalue(name)
+    stacked = simulate_many(model, runs)
+    assert len(stacked) == len(runs)
+    for run, flow in zip(runs, stacked):
+        assert _same_flow(flow, simulate_frozen(model, *run))
+
+
+def _counting(monkeypatch, name, calls):
+    original = getattr(sde_engine, name)
+
+    def count(*args):
+        calls.append(threading.current_thread())
+        return original(*args)
+
+    monkeypatch.setattr(sde_engine, name, count)
+
+
+def test_identical_runs_share_state_until_their_nodes_differ(arctan_model, monkeypatch):
+    # The three horizons of the Duhamel check: one noise block per step index;
+    # 0.0625 forks off where its ragged last step begins.
+    flow = _const_flow(1.0)
+    init = Measure.dirac([1.0])
+    runs = [(flow, flow, init, SimConfig(300, 1e-3, 0.0, t1, seed=24), [t1])
+            for t1 in (0.0625, 0.125, 0.25)]
+    draws, updates = [], []
+    _counting(monkeypatch, "_step_noise", draws)
+    original = sde_engine._Run.update
+    monkeypatch.setattr(sde_engine._Run, "update",
+                        lambda self, *a: updates.append(1) or original(self, *a))
+    stacked = simulate_many(arctan_model, runs)
+    assert len(draws) == 250 and len(updates) == 251
+    monkeypatch.undo()
+    for run, flow_out in zip(runs, stacked):
+        assert _same_flow(flow_out, simulate_frozen(arctan_model, *run))
+
+
+def test_decoupled_runs_draw_their_own_blocks(brownian_model, monkeypatch):
+    # crn=False: each run's noise key mixes a digest of its own inputs.
+    flows, inits = _pools()
+    cfg = SimConfig(40, 1e-2, 0.0, 0.05, seed=3, crn=False)
+    runs = [(flows[0], flows[0], inits[0], cfg, [0.05]),
+            (flows[0], flows[0], inits[1], cfg, [0.05])]
+    draws = []
+    _counting(monkeypatch, "_step_noise", draws)
+    a, b = simulate_many(brownian_model, runs)
+    assert len(draws) == 10
+    diff = b.measures[-1].points - a.measures[-1].points
+    assert not np.allclose(diff, diff[0])
+
+
+def test_noise_is_read_once_per_step_on_the_calling_thread(tanh_drift_model, monkeypatch):
+    draws = []
+    _counting(monkeypatch, "_step_noise", draws)
+    cfg = SimConfig(301, 1e-3, 0.0, 0.0625, seed=4)
+    flow = _varying_flow(cfg.t1, 9, 1)
+    init = Measure.from_points(np.random.default_rng(3).normal(0.5, 1.0, (301, 1)))
+    simulate_frozen(tanh_drift_model, flow, flow, init, cfg, record_times=[0.0205, 0.0625])
+    assert len(draws) == 63  # 62 steps, one split at 0.0205
+    assert all(t is threading.main_thread() for t in draws)
+    draws.clear()
+    gamma = Measure.dirac([0.3])
+    simulate_many(tanh_drift_model, [(flow, flow, init, cfg, [0.0625]),
+                                     (flow, flow, gamma, cfg, [0.0625])])
+    assert len(draws) == 62
+
+
+def _long_run(model, seed=11):
+    flow = _const_flow(0.3)
+    cfg = SimConfig(3000, 1e-3, 0.0, 0.1, seed=seed)  # 100 steps over several ring chunks
+    return (flow, flow, Measure.dirac([0.3]), cfg, [0.05, 0.1])
+
+
+def test_a_failed_simulation_leaves_no_thread(tanh_drift_model, monkeypatch):
+    before = threading.active_count()
+    calls = []
+    original = sde_engine.drift_batch
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 10:
+            raise RuntimeError("injected")
+        return original(*args)
+
+    monkeypatch.setattr(sde_engine, "drift_batch", failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        simulate_frozen(tanh_drift_model, *_long_run(tanh_drift_model))
+    assert threading.active_count() == before
+    monkeypatch.undo()
+    out = simulate_frozen(tanh_drift_model, *_long_run(tanh_drift_model))
+    assert threading.active_count() == before
+    assert len(out.measures) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_any_worker_count_draws_the_same_bits(tanh_drift_model, monkeypatch, workers):
+    # 8 workers on fewer cores, switching threads every 10 us, stress the
+    # ring: a chunk refilled before the loop is done with it changes bits.
+    runs = [_long_run(tanh_drift_model), _long_run(tanh_drift_model, seed=12)]
+    many = simulate_many(tanh_drift_model, runs)
+    monkeypatch.setattr(sde_engine, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        other = simulate_many(tanh_drift_model, runs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(_same_flow(a, b) for a, b in zip(many, other))
+
+
+def test_the_ring_is_freed_when_its_call_returns(tanh_drift_model, monkeypatch):
+    # Freed by reference counting, not by the cycle collector: rings left
+    # for the collector raised the peak RSS of a solve by 20 MB.
+    refs = []
+    enter = sde_engine._NoiseAhead.__enter__
+
+    def recording(self):
+        refs.extend(weakref.ref(buf) for buf in self._ring)
+        return enter(self)
+
+    monkeypatch.setattr(sde_engine._NoiseAhead, "__enter__", recording)
+    gc.disable()
+    try:
+        simulate_frozen(tanh_drift_model, *_long_run(tanh_drift_model))
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
