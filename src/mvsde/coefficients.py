@@ -282,9 +282,6 @@ class ModelConstants:
         if self.b_sup < 0:
             raise ConfigError(f"b_sup must be nonnegative, got {self.b_sup}", "/constants/b_sup")
 
-    def to_json(self):
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class Diffusion:
@@ -297,9 +294,6 @@ class Diffusion:
         if self.kind not in ("scalar", "diag"):
             raise ConfigError(f"diffusion kind must be 'scalar' or 'diag', got {self.kind!r}",
                               "/diffusion/kind")
-
-    def to_json(self):
-        return {"kind": self.kind, "exprs": [e.to_json() for e in self.exprs]}
 
 
 @dataclass(frozen=True)
@@ -334,16 +328,7 @@ class Model:
     def drift_measure_free(self) -> bool:
         return not any(e.uses_measure() for e in self.drift)
 
-    # Serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "drift": [e.to_json() for e in self.drift],
-            "diffusion": self.diffusion.to_json(),
-            "constants": self.constants.to_json(),
-        }
+    # Parsing ---------------------------------------------------------------
 
     @classmethod
     def from_json(cls, spec: dict) -> "Model":

@@ -239,11 +239,10 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
                 if has_drift:
                     dphi = phi[:, 1:] - phi[:, :-1]
                     row += dphi @ (P[l] * b_cells[1 + l])
-                if has_trace:
-                    psi = (dev_ce / v[:, None]) * phi
-                    dpsi = psi[:, 1:] - psi[:, :-1]
-                    row += 0.5 * (dpsi @ (P[l] * a_cells[1 + l])
-                                  - a_cells[1 + l] * (dpsi @ P[l]))
+                psi = (dev_ce / v[:, None]) * phi
+                dpsi = psi[:, 1:] - psi[:, :-1]
+                row += 0.5 * (dpsi @ (P[l] * a_cells[1 + l])
+                              - a_cells[1 + l] * (dpsi @ P[l]))
                 vals[1 + l] = row
 
             # Node r = tau: analytic limit of the inner integral.

@@ -113,12 +113,9 @@ def emit_report(report: ExperimentReport, outdir) -> list:
         with open(gp_path, "w", encoding="utf-8") as fh:
             fh.write("set datafile separator ','\n")
             fh.write("set key autotitle columnhead\n")
-            if s.logx and s.logy:
-                fh.write("set logscale xy\n")
-            elif s.logx:
-                fh.write("set logscale x\n")
-            elif s.logy:
-                fh.write("set logscale y\n")
+            axes = "x" * s.logx + "y" * s.logy
+            if axes:
+                fh.write(f"set logscale {axes}\n")
             fh.write(f"set xlabel '{s.columns[0]}'\n")
             cols = ", ".join(
                 f"'{csv_name}' using 1:{j + 2} with linespoints"

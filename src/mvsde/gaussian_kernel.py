@@ -59,10 +59,6 @@ class FrozenCovariance:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def dt(self) -> float:
-        return self.t - self.s
-
 
 def variance_profile(model: Model, flow: Flow, points, s: float, times) -> np.ndarray:
     """Cumulative time integral of (sigma sigma*)(z, nu_u) from s, per row z of ``points``.

@@ -8,8 +8,7 @@ are immutable after construction and every operation here is a pure function
 of its inputs (plus an explicit seed), so concurrent use is safe.
 
 Each 1D measure is sorted at most once: :func:`quantile_form` memoises its
-sorted coordinates and cumulative weights, holding the measure weakly, and a
-shifted measure takes its form from its parent's.
+sorted coordinates and cumulative weights, holding the measure weakly.
 """
 
 from __future__ import annotations
@@ -150,10 +149,7 @@ class Measure:
         v = np.asarray(v, dtype=float).ravel()
         if v.shape != (self.dim,):
             raise DomainError(f"shift vector must have length {self.dim}")
-        shifted = Measure(self.points + v, self.weights, self.dim)
-        if self.dim == 1:
-            _SHIFTED[shifted] = (weakref.ref(self), v[0])
-        return shifted
+        return Measure(self.points + v, self.weights, self.dim)
 
     def to_csv(self, path_or_buf) -> None:
         """Write ``w,x1[,x2]`` rows (UTF-8, '.' decimal separator)."""
@@ -181,9 +177,8 @@ class QuantileForm(NamedTuple):
                          # so the midpoint of each level interval finds that level
 
 
-# Both memos hold their measures weakly, so a form lives as long as its law.
+# The memo holds its measures weakly, so a form lives as long as its law.
 _FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_SHIFTED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # -> (parent ref, shift)
 
 
 def quantile_form(m: Measure) -> QuantileForm:
@@ -203,17 +198,7 @@ def _sorted_form(m: Measure) -> QuantileForm:
     if m.dim != 1:
         raise DomainError("quantile forms need dimension 1")
     w = m.weights
-    uniform = bool((w == w[0]).all())
-    link = _SHIFTED.pop(m, None)
-    parent = link[0]() if link else None
-    if parent is not None:
-        # Rounding is monotone, so adding v keeps the parent's order; ties it
-        # creates reorder the weights unless those are all equal.
-        form = quantile_form(parent)
-        x = form.x + link[1]
-        if uniform or (x[1:] > x[:-1]).all():
-            return form._replace(x=x)
-    if uniform:
+    if (w == w[0]).all():
         # Equal weights make the order among ties immaterial: tied values
         # differ at most in the sign of a zero, which neither a quantile nor
         # |x - y| sees.  So the default sort, ~10x faster, serves here.
@@ -344,10 +329,6 @@ class Density:
     @property
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.cell_volume())
-
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
 
 
 def silverman_bandwidth(m: Measure) -> np.ndarray:

@@ -10,8 +10,9 @@ experiment.  With ``crn=False`` the key is additionally mixed with a digest
 of the inputs, decoupling the noise while staying deterministic.
 
 Because each block is keyed by its step, blocks can be drawn in any order
-and on any thread.  During a simulation call, two worker threads draw the
-call's blocks ahead into a ring of up to three preallocated buffers; the
+and on any thread.  A simulation call reads its blocks from one generator,
+closed when the call ends: two worker threads draw the blocks ahead into a
+ring of up to three buffers, each the size of the call's largest chunk; the
 Euler update stays on the calling thread, and no thread outlives the call.
 :func:`simulate_many` steps several runs side by side: runs sharing (seed,
 noise key, particle shape) read one block per step, and runs whose inputs
@@ -25,6 +26,7 @@ import hashlib
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import DomainError
 from .measures import TIME_TOL, Flow, Measure, left_node, resample
 
 _INIT_STREAM = 0x517CC1B727220A95  # sub-stream tag for initial-condition resampling
-_CHUNK_FLOATS = 1 << 16  # 512 KiB of normals per ring buffer (at least one block)
+_CHUNK_FLOATS = 1 << 16  # normals per chunk: 512 KiB, or one block if larger
 # Drawing threads per simulation call: the count measured on a 2-core host.
 # The ring holds one buffer more, so it is at most three chunks.
 _WORKERS = 2
@@ -100,77 +102,60 @@ def _draw(blocks) -> None:
         gen.standard_normal(out=out)
 
 
-class _NoiseAhead:
+def _noise_ahead(blocks):
     """The noise blocks of one simulation call, drawn ahead on worker threads.
 
     ``blocks`` lists ``(seed, extra, step, shape)`` in the order the Euler
-    loop reads them.  Block ``step`` of stream (seed, extra) is the Philox
-    stream with key (seed, extra) and the step in the most significant
-    counter word, so streams never collide however many draws one step
-    consumes.  Blocks are packed in reading order into chunks of about
-    512 KiB; ``workers + 1`` chunk buffers, allocated here on the calling
-    thread, are refilled in place while the caller reads the others.  Use
-    as a context manager: leaving it cancels what is queued and joins the
-    workers.
+    loop reads them, and the generator yields them in that order, each a
+    view valid until the next one is asked for.  Block ``step`` of stream
+    (seed, extra) is the Philox stream with key (seed, extra) and the step
+    in the most significant counter word, so streams never collide however
+    many draws one step consumes.  Blocks are packed in reading order into
+    chunks of about 512 KiB (one block if larger); up to ``_WORKERS + 1``
+    buffers the size of the largest chunk, allocated here on the calling
+    thread, are refilled in place while the caller reads the others.
+    Closing the generator cancels what is queued and joins the workers.
     """
+    cap = max(_CHUNK_FLOATS, max(math.prod(b[3]) for b in blocks))
+    chunks = []  # [(seed, extra, step, offset, shape)] per chunk
+    used = cap
+    for seed, extra, step, shape in blocks:
+        if used + math.prod(shape) > cap:
+            chunks.append([])
+            used = 0
+        chunks[-1].append((seed, extra, step, used, shape))
+        used += math.prod(shape)
+    size = max(b[3] + math.prod(b[4]) for chunk in chunks for b in chunk)
+    ring = [np.empty(size) for _ in range(min(_WORKERS + 1, len(chunks)))]
+    pool = ThreadPoolExecutor(max_workers=min(_WORKERS, len(chunks)))
 
-    def __init__(self, blocks):
-        cap = max(_CHUNK_FLOATS, max(math.prod(b[3]) for b in blocks))
-        self._chunks = []  # [(seed, extra, step, offset, shape)] per chunk
-        used = cap
-        for seed, extra, step, shape in blocks:
-            if used + math.prod(shape) > cap:
-                self._chunks.append([])
-                used = 0
-            self._chunks[-1].append((seed, extra, step, used, shape))
-            used += math.prod(shape)
-        self._workers = min(_WORKERS, len(self._chunks))
-        size = max(b[3] + math.prod(b[4]) for chunk in self._chunks for b in chunk)
-        self._ring = [np.empty(size) for _ in range(min(self._workers + 1, len(self._chunks)))]
-        self._queued = deque()  # (future, views) of the chunks not yet read
-        self._submitted = 0
-        self._views, self._pos = [], 0  # the chunk being read
-
-    def __enter__(self):
-        self._pool = ThreadPoolExecutor(max_workers=self._workers)
-        for _ in self._ring:
-            self._submit()
-        return self
-
-    def __exit__(self, *exc):
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-    def _submit(self) -> None:
-        """Queue the next chunk into the buffer of the chunk ``len(ring)`` before it."""
-        c = self._submitted
-        if c == len(self._chunks):
-            return
-        buf = self._ring[c % len(self._ring)]
-        views, items = [], []
-        for seed, extra, step, off, shape in self._chunks[c]:
+    def submit(c):
+        """Queue chunk ``c`` into its ring buffer; its future and block views."""
+        buf, views, items = ring[c % len(ring)], [], []
+        for seed, extra, step, off, shape in chunks[c]:
             views.append(buf[off:off + math.prod(shape)].reshape(shape))
             items.append((np.array([seed % 2**64, extra % 2**64], dtype=np.uint64),
                           np.array([0, 0, 0, step], dtype=np.uint64), views[-1]))
-        self._queued.append((self._pool.submit(_draw, items), views))
-        self._submitted += 1
+        return pool.submit(_draw, items), views
 
-    def next(self) -> np.ndarray:
-        if self._pos == len(self._views):
-            if self._views:  # the caller is done with this chunk: refill its buffer
-                self._submit()
-            future, self._views = self._queued.popleft()
+    try:
+        queued = deque(submit(c) for c in range(len(ring)))
+        for c in range(len(chunks)):
+            future, views = queued.popleft()
             future.result()
-            self._pos = 0
-        self._pos += 1
-        return self._views[self._pos - 1]
+            yield from views
+            if c + len(ring) < len(chunks):  # the caller is done with chunk c
+                queued.append(submit(c + len(ring)))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _step_noise(stream: _NoiseAhead) -> np.ndarray:
+def _step_noise(stream) -> np.ndarray:
     """The next ``(N, d)`` block of ``stream``; valid until the next call.
 
     The one per-step noise call, made on the calling thread.
     """
-    return stream.next()
+    return next(stream)
 
 
 def _initial_ensemble(init: Measure, n: int, seed: int) -> Measure:
@@ -318,7 +303,7 @@ def simulate_many(model: Model, runs) -> list:
     reads = [[k for k in noises if step < ends[k]] for step in range(max(ends.values()))]
     blocks = [(seed, extra, step, shape)
               for step, keys in enumerate(reads) for seed, extra, shape in keys]
-    with _NoiseAhead(blocks) as stream:
+    with closing(_noise_ahead(blocks)) as stream:
         for step, keys in enumerate(reads):
             for key in keys:
                 z = _step_noise(stream)

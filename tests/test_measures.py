@@ -120,7 +120,7 @@ def test_to_density_2d_normal_oracle():
     rng = np.random.default_rng(6)
     m = Measure.from_points(rng.standard_normal((50_000, 2)))
     dens = to_density(m)
-    assert dens.dim == 2
+    assert dens.grid.dim == 2
     assert dens.mass == pytest.approx(1.0, abs=1e-6)
     centers = dens.grid.centers()
     exact = (norm.pdf(centers[:, 0]) * norm.pdf(centers[:, 1])).reshape(dens.grid.shape)

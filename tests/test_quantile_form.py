@@ -99,21 +99,6 @@ def test_w1d_against_a_shift_equals_the_reference(parent, v, k, parent_sorted_fi
 
 
 @settings(deadline=None, max_examples=200)
-@given(_measure(), _shifts)
-def test_a_shift_hands_over_its_parents_form(parent, v):
-    # The child's form alone is asked for: the parent is sorted for it, once.
-    child = parent.shift([v])
-    assert parent not in measures._FORMS
-    form = quantile_form(child)
-    assert parent in measures._FORMS
-    order = np.argsort(child.points[:, 0], kind="stable")
-    assert np.array_equal(form.x, child.points[order, 0])
-    cum = np.cumsum(child.weights[order])
-    cum[-1] = 1.0
-    assert np.array_equal(form.levels, cum)
-
-
-@settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_weighted_quantile_equals_the_sorting_reference(data):
     # Exact wherever the order of tied atoms cannot move the cumulative
@@ -141,12 +126,11 @@ def test_the_memo_holds_its_measures_weakly():
     m = Measure.from_points(rng.normal(size=(50, 1)), rng.uniform(0.1, 1.0, 50))
     child = m.shift([2.0])
     quantile_form(m)
-    memos = (measures._FORMS, measures._SHIFTED)
-    keys = [(memo, key) for memo in memos for key in memo.data if key() in (m, child)]
-    assert len(keys) == 2  # m's form and child's link to m
+    keys = [key for key in measures._FORMS.data if key() in (m, child)]
+    assert len(keys) == 1  # m's form; the unsorted shift adds no entry
     del m, child
     gc.collect()
-    assert not any(key in memo.data for memo, key in keys)
+    assert not any(key in measures._FORMS.data for key in keys)
 
 
 def test_a_shift_outliving_its_parent_sorts_itself():

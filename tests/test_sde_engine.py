@@ -484,20 +484,44 @@ def test_any_worker_count_draws_the_same_bits(tanh_drift_model, monkeypatch, wor
     assert all(_same_flow(a, b) for a, b in zip(many, other))
 
 
-def test_the_ring_is_freed_when_its_call_returns(tanh_drift_model, monkeypatch):
+def test_the_ring_is_freed_when_its_generator_closes(tanh_drift_model, monkeypatch):
     # Freed by reference counting, not by the cycle collector: rings left
     # for the collector raised the peak RSS of a solve by 20 MB.
+    before = threading.active_count()
     refs = []
-    enter = sde_engine._NoiseAhead.__enter__
+    step_noise, update = sde_engine._step_noise, sde_engine._Run.update
 
-    def recording(self):
-        refs.extend(weakref.ref(buf) for buf in self._ring)
-        return enter(self)
+    def recording(stream):
+        z = step_noise(stream)
+        if not refs:
+            refs.extend(weakref.ref(buf) for buf in stream.gi_frame.f_locals["ring"])
+        return z
 
-    monkeypatch.setattr(sde_engine._NoiseAhead, "__enter__", recording)
+    def failing(self, step, z):
+        if step == 30:
+            raise RuntimeError("injected")
+        return update(self, step, z)
+
+    def freed():
+        return (len(refs) == 3 and all(ref() is None for ref in refs)
+                and threading.active_count() == before)
+
+    monkeypatch.setattr(sde_engine, "_step_noise", recording)
     gc.disable()
     try:
         simulate_frozen(tanh_drift_model, *_long_run(tanh_drift_model))
-        assert refs and all(ref() is None for ref in refs)
+        assert freed()
+        refs.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sde_engine._Run, "update", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                simulate_frozen(tanh_drift_model, *_long_run(tanh_drift_model))
+        assert freed()
+        refs.clear()
+        stream = sde_engine._noise_ahead([(11, 0, step, (3000, 1)) for step in range(100)])
+        recording(stream)  # the first block: every chunk in the ring is queued
+        assert threading.active_count() == before + 2
+        stream.close()
+        assert freed()
     finally:
         gc.enable()
