@@ -485,7 +485,8 @@ def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
         mu2 = _random_measure(rng, model.dim)
 
         w_eta = metrics.wasserstein_eta(mu1, mu2, c.eta).value
-        w_k = metrics.wasserstein(mu1, mu2, c.k).value
+        # eta == k: both are one distance, computed once (as in metrics.transport).
+        w_k = w_eta if c.k == c.eta else metrics.wasserstein(mu1, mu2, c.k).value
         kvar = metrics.weighted_variation_atoms(mu1, mu2, c.k).value
 
         try:

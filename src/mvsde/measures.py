@@ -240,13 +240,17 @@ def resample(m: Measure, n: int, seed: int) -> Measure:
     """Systematic (low-variance) resampling to n equal-weight particles."""
     if n < 1:
         raise DomainError(f"resample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random()
-    positions = (np.arange(n) + u) / n
+    positions = (np.arange(n) + _systematic_offset(seed)) / n
     cum = np.cumsum(m.weights)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, positions, side="left")
     return Measure(m.points[idx], np.full(n, 1.0 / n), m.dim)
+
+
+@lru_cache(maxsize=256)
+def _systematic_offset(seed: int) -> float:
+    """The one uniform draw of :func:`resample`, a function of the seed alone."""
+    return np.random.default_rng(seed).random()
 
 
 @dataclass(frozen=True)
@@ -439,6 +443,13 @@ def _linear_binning(m: Measure, grid: GridSpec) -> np.ndarray:
     base = np.floor(pos).astype(int)
     frac = pos - base
     hist = np.zeros(grid.shape)
+    if grid.dim == 1:
+        # The corner loop's two additions, in its order, without its 2D indices.
+        b, f = base[:, 0], frac[:, 0]
+        for idx, weight in ((b, (1.0 - f) * m.weights), (b + 1, f * m.weights)):
+            ok = (idx >= 0) & (idx < grid.shape[0])
+            np.add.at(hist, idx[ok], weight[ok])
+        return hist
     shape = np.asarray(grid.shape)
     for corner in range(2**grid.dim):
         offs = np.array([(corner >> j) & 1 for j in range(grid.dim)])

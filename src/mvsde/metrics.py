@@ -6,6 +6,9 @@ monotone coupling when p >= 1, exact LP otherwise; W_eta is the case eta in
 forms, and the exponentially time-weighted sup metrics on flows under which
 the fixed-point maps contract.
 
+The LP stack (``scipy.optimize``, ``scipy.sparse``) loads at the first LP a
+process solves, inside :func:`ot_lp`; runs that solve none never import it.
+
 Total variation convention: ||mu - nu||_var = sup_{|f|<=1} |mu(f) - nu(f)|,
 which equals the L1 distance of densities (range [0, 2]).
 """
@@ -16,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import DomainError, NumericsError, SizeError
 from .measures import Density, Flow, Measure, left_node, quantile_form, resample
@@ -104,6 +105,9 @@ def ot_lp(m1: Measure, m2: Measure, exponent: float) -> DistanceReport:
         )
     if m1 is m2:
         return _zero(METHOD_LP)
+    # Only LP paths need these, and loading them costs about 22 MB.
+    from scipy import sparse
+    from scipy.optimize import linprog
 
     diff = m1.points[:, None, :] - m2.points[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** exponent

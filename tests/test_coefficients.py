@@ -72,6 +72,24 @@ def test_constant_model_ratios_zero(brownian_model):
     assert all(v == 0.0 for v in report.ratios.values())
 
 
+def test_the_audit_computes_one_distance_when_eta_equals_k(brownian_model, monkeypatch):
+    exponents = []
+    real = metrics.wasserstein
+    monkeypatch.setattr(metrics, "wasserstein",
+                        lambda m1, m2, p: exponents.append(p) or real(m1, m2, p))
+    lipschitz_audit(brownian_model, n_samples=20, seed=0)
+    assert exponents == [1.0] * 20
+    half = Model.from_json({
+        "name": "brownian_eta_half", "dim": 1,
+        "drift": [{"op": "const", "value": 0.0}],
+        "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.0}]},
+        "constants": {"K": 1.5, "k": 1.0, "eta": 0.5, "beta": 1.0, "b_sup": 0.0},
+    })
+    exponents.clear()
+    lipschitz_audit(half, n_samples=20, seed=0)
+    assert exponents == [0.5, 1.0] * 20
+
+
 def test_structural_flags(tanh_model, space_sigma_model):
     rep = lipschitz_audit(tanh_model, n_samples=20, seed=0)
     assert rep.flags["sigma_space_free"]

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from mvsde import fixed_point, measures, metrics
 from mvsde.errors import DomainError, NumericsError
 from mvsde.measures import (
     Flow,
@@ -198,3 +199,66 @@ def test_measure_csv_roundtrip_bit_identical(data):
     back = Measure.from_csv(buf)
     assert back.points.tobytes() == m.points.tobytes()
     assert back.weights.tobytes() == m.weights.tobytes()
+
+
+def _corner_loop(m, grid):
+    # The general corner loop of measures._linear_binning, kept here as the
+    # reference its 1D path must match bit for bit.
+    w = grid.widths()
+    pos = (m.points - grid.lo) / w - 0.5
+    base = np.floor(pos).astype(int)
+    frac = pos - base
+    hist = np.zeros(grid.shape)
+    shape = np.asarray(grid.shape)
+    for corner in range(2**grid.dim):
+        offs = np.array([(corner >> j) & 1 for j in range(grid.dim)])
+        idx = base + offs
+        weight = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1) * m.weights
+        ok = np.all((idx >= 0) & (idx < shape), axis=1)
+        if not np.any(ok):
+            continue
+        np.add.at(hist, tuple(idx[ok].T), weight[ok])
+    return hist
+
+
+@st.composite
+def _binning_case(draw):
+    # Dyadic bounds and widths put cell centres and edges on exact floats;
+    # the width 0.3 puts them a rounding away.
+    lo = draw(st.integers(-8, 8)) * 0.5
+    width = draw(st.sampled_from([0.125, 0.5, 1.0, 0.3]))
+    cells = draw(st.integers(2, 12))
+    kinds = st.sampled_from(["centre", "edge", "below", "above", "free"])
+    atoms = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=25)):
+        if kind == "free":
+            atoms.append(draw(st.floats(lo - 2 * width, lo + (cells + 2) * width)))
+            continue
+        j, off = draw(st.integers(0, cells)), draw(st.floats(0.0, 3.0))
+        atoms.append({"centre": lo + (j + 0.5) * width, "edge": lo + j * width,
+                      "below": lo - width - off, "above": lo + (cells + 1) * width + off}[kind])
+    weights = draw(st.lists(st.floats(0.01, 10.0), min_size=len(atoms), max_size=len(atoms)))
+    return (lo, lo + cells * width, cells), atoms, weights
+
+
+@settings(deadline=None, max_examples=300)
+@given(_binning_case())
+@example(((0.0, 1.0, 4), [0.375], [1.0]))                    # a single atom on a centre
+@example(((0.0, 1.0, 4), [0.5], [1.0]))                      # a single atom on an edge
+@example(((0.0, 1.0, 4), [-0.5, 0.125, 0.25, 0.5, 1.0, 1.5],
+          [0.1, 2.0, 0.3, 4.0, 0.5, 6.0]))                   # off both ends, unequal weights
+def test_1d_binning_adds_as_the_corner_loop(case):
+    (lo, hi, cells), atoms, weights = case
+    grid = GridSpec([lo], [hi], (cells,))
+    m = Measure.from_points(np.array(atoms)[:, None], weights)
+    assert measures._linear_binning(m, grid).tobytes() == _corner_loop(m, grid).tobytes()
+
+
+def test_a_memoised_offset_is_a_fresh_generators_draw():
+    seeds = ([fixed_point._METRIC_SEED, metrics._SUBSAMPLE_SEED]
+             + [fixed_point._METRIC_SEED + measures._RESAMPLE_STREAM + i for i in range(100)])
+    measures._systematic_offset.cache_clear()
+    for _ in range(2):  # computed, then memoised
+        for seed in seeds:
+            assert measures._systematic_offset(seed) == np.random.default_rng(seed).random()
+    assert measures._systematic_offset.cache_info().hits == len(seeds)
