@@ -75,13 +75,6 @@ def check_integer(value, pointer, lo: int, hi: int | None = None) -> int:
     return value
 
 
-def check_bool(value, pointer) -> bool:
-    """``value`` if it is a JSON boolean."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"expected true or false, got {value!r}", pointer)
-    return value
-
-
 def check_string(value, pointer) -> str:
     """``value`` if it is a JSON string."""
     if not isinstance(value, str):

@@ -26,7 +26,7 @@ import numpy as np
 from . import metrics
 from .coefficients import Model, lipschitz_audit, load_model
 from .duhamel import solve_density
-from .errors import (ConfigError, ConvergenceError, DomainError, check_bool, check_integer,
+from .errors import (ConfigError, ConvergenceError, DomainError, NumericsError, check_integer,
                      check_list, check_number, check_object, check_string, check_tagged)
 from .fixed_point import SOLVE_TOL, solve_mvsde
 from .measures import TIME_TOL, Flow, Measure, pooled_grid, resample, to_density, write_csv
@@ -174,6 +174,14 @@ def _numbers(value, pointer, above: float | None = None) -> list:
             for i, v in enumerate(check_list(value, pointer))]
 
 
+def _distinct(value, pointer, least: int, above: float | None = None) -> list:
+    """:func:`_numbers` with at least ``least`` values, none repeated."""
+    values = _numbers(value, pointer, above)
+    if len(set(values)) < max(least, len(values)):
+        raise ConfigError(f"needs {least} or more values, none repeated; got {values}", pointer)
+    return values
+
+
 def _within_run(values, pointer, t0: float, t1: float) -> None:
     """Fail at the first time of ``values`` outside the run interval (t0, t1]."""
     for i, t in enumerate(values):
@@ -232,7 +240,7 @@ def _measure_from_spec(spec, pointer: str, config_path) -> Measure:
     path = _config_relative(config_path, check_string(spec["path"], pointer + "/path"))
     try:
         return Measure.from_csv(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NumericsError) as exc:
         raise ConfigError(f"cannot read measure CSV {path}: {exc}", pointer + "/path") from exc
 
 
@@ -279,7 +287,7 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
                               f"/times/{close[0] + 1}")
 
     sim_raw = dict(check_object(raw.get("sim", {}), "/sim", (),
-                                ("n_particles", "dt", "t0", "t1", "seed", "crn")))
+                                ("n_particles", "dt", "t0", "t1", "seed")))
     if seed is not None:
         sim_raw["seed"] = seed
     if particles is not None:
@@ -308,7 +316,6 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
         t0=t0,
         t1=t1,
         seed=check_integer(sim_raw.get("seed", 0), "/sim/seed", 0),
-        crn=check_bool(sim_raw.get("crn", True), "/sim/crn"),
     )
     cfg = ExperimentConfig(
         kind=cfg_kind,
@@ -638,8 +645,9 @@ OPTIONS = {
     "solve": {"tol": partial(check_number, above=0.0)},
     "regularity": {},
     "gradient": {"epsilons": partial(_numbers, above=0.0)},
-    "stability": {"deltas": partial(_numbers, above=0.0)},
-    "duhamel": {"horizons": _numbers, "tv_tol": partial(check_number, above=0.0)},
+    "stability": {"deltas": partial(_distinct, least=2, above=0.0)},  # a slope needs 2
+    "duhamel": {"horizons": partial(_distinct, least=1),
+                "tv_tol": partial(check_number, above=0.0)},
 }
 
 RUNNERS = {

@@ -201,13 +201,12 @@ def inner_solve(model: Model, gamma: Measure, mu_flow: Flow, cfg: SimConfig,
         raise DomainError("lambda must be positive")
     c = model.constants
     metric = metric or _MetricContext(k=c.k, eta=c.eta, lam=lam)
-    repeats = cfg.crn and model.sigma_measure_free
 
     def psi(nu):
         nonlocal first_sweep
         flow = first_sweep if first_sweep is not None else psi_map(
             model, gamma, mu_flow, nu, cfg)
-        first_sweep = flow if repeats else None
+        first_sweep = flow if model.sigma_measure_free else None
         return flow
 
     nu, distances, ratios, failure = _iterate(
@@ -244,7 +243,7 @@ def gamma_weight(gamma: Measure, k: float) -> float:
 
 def estimate_noise_floor(model: Model, gamma: Measure, cfg: SimConfig,
                          metric: _MetricContext, nodes: np.ndarray) -> tuple:
-    """rho-tilde between two decoupled simulations of identical inputs.
+    """rho-tilde between two simulations of identical inputs, decoupled by a seed shift.
 
     Captures the resample-OT and KDE estimation noise that iteration
     distances cannot fall below.  Returns (floor, first simulation); the
@@ -253,7 +252,7 @@ def estimate_noise_floor(model: Model, gamma: Measure, cfg: SimConfig,
     base = Flow.constant(gamma, nodes)
     flows = []
     for seed_shift in (0, 1):
-        cfg_i = replace(cfg, seed=cfg.seed + 7919 * seed_shift, crn=True)
+        cfg_i = replace(cfg, seed=cfg.seed + 7919 * seed_shift)
         flows.append(simulate_frozen(model, base, base, gamma, cfg_i,
                                      record_times=nodes))
     return metric.rho_tilde(flows[0], flows[1]), flows[0]
@@ -279,9 +278,6 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig,
         metric = _MetricContext(k=c.k, eta=c.eta, lam=lam)
         floor, first_sweep = estimate_noise_floor(model, gamma, cfg, metric, nodes)
         tol_eff = _effective_tol(tol, floor)
-        if not cfg.crn:
-            first_sweep = None  # the sweeps' noise is keyed by their inputs
-        repeats = cfg.crn and model.drift_measure_free
         known = None  # (flow, info) of the first inner solve, when phi ignores mu
         inner = []
 
@@ -291,7 +287,7 @@ def solve_mvsde(model: Model, gamma: Measure, cfg: SimConfig,
             mu_next, info = known or inner_solve(model, gamma, mu, cfg, lam, tol_eff,
                                                  metric=metric, first_sweep=first_sweep)
             first_sweep = None
-            known = (mu_next, info) if repeats else None
+            known = (mu_next, info) if model.drift_measure_free else None
             inner.append(info)
             return mu_next
 

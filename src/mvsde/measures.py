@@ -112,10 +112,13 @@ class Measure:
             )
         if not np.all(np.isfinite(pts)):
             raise NumericsError("non-finite particle position")
+        total = w.sum()
+        if not np.isfinite(total):  # any NaN or infinite weight
+            raise NumericsError("non-finite weight")
         if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise DomainError(f"weights sum to {w.sum()!r}, expected 1 within {WEIGHT_TOL}")
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise DomainError(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)

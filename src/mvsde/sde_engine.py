@@ -3,11 +3,11 @@
 The drift reads its measure argument from one flow (mu) and the diffusion
 from another (nu); both are looked up piecewise-constantly at the left node.
 Noise is generated from counter-based streams keyed by (seed, step index,
-particle index), so two runs sharing a seed and a step schedule consume
-bit-identical Brownian increments regardless of their flows or initials --
-this is the common-random-numbers coupling used by every comparison
-experiment.  With ``crn=False`` the key is additionally mixed with a digest
-of the inputs, decoupling the noise while staying deterministic.
+particle index) alone, so two runs sharing a seed and a step schedule
+consume bit-identical Brownian increments regardless of their flows or
+initials -- this is the common-random-numbers coupling used by every
+comparison experiment.  Runs that need independent noise use different
+seeds.
 
 Because each block is keyed by its step, blocks can be drawn in any order
 and on any thread.  A simulation call reads its blocks from one generator,
@@ -15,14 +15,13 @@ closed when the call ends: two worker threads draw the blocks ahead into a
 ring of up to three buffers, each the size of the call's largest chunk; the
 Euler update stays on the calling thread, and no thread outlives the call.
 :func:`simulate_many` steps several runs side by side: runs sharing (seed,
-noise key, particle shape) read one block per step, and runs whose inputs
-are the same objects share one state until their step nodes differ.
+particle shape) read one block per step, and runs whose inputs are the
+same objects share one state until their step nodes differ.
 :func:`simulate_frozen` is its one-run case.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +43,7 @@ _WORKERS = 2
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters; ``crn`` couples noise across compared runs.
+    """Simulation parameters; runs with one ``seed`` share their noise.
 
     The run takes ``round((t1 - t0) / dt)`` steps of size ``dt`` and pins the
     last node to ``t1``, so a ``dt`` that does not divide ``t1 - t0`` leaves a
@@ -56,7 +55,6 @@ class SimConfig:
     t0: float
     t1: float
     seed: int
-    crn: bool = True
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -67,20 +65,11 @@ class SimConfig:
             raise DomainError("need 0 < dt <= t1 - t0")
 
     def to_json(self) -> dict:
+        # Every run uses common random numbers; the echo keeps summary.json's bytes.
         return {
             "n_particles": self.n_particles, "dt": self.dt, "t0": self.t0,
-            "t1": self.t1, "seed": self.seed, "crn": self.crn,
+            "t1": self.t1, "seed": self.seed, "crn": True,
         }
-
-
-def _content_digest(init: Measure, mu_flow: Flow, nu_flow: Flow) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    for arr in (init.points, init.weights, mu_flow.times, nu_flow.times):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    for fl in (mu_flow, nu_flow):
-        for m in fl.measures:
-            h.update(np.ascontiguousarray(m.points).tobytes())
-    return int.from_bytes(h.digest(), "little")
 
 
 def _draw(blocks) -> None:
@@ -105,36 +94,36 @@ def _draw(blocks) -> None:
 def _noise_ahead(blocks):
     """The noise blocks of one simulation call, drawn ahead on worker threads.
 
-    ``blocks`` lists ``(seed, extra, step, shape)`` in the order the Euler
-    loop reads them, and the generator yields them in that order, each a
-    view valid until the next one is asked for.  Block ``step`` of stream
-    (seed, extra) is the Philox stream with key (seed, extra) and the step
-    in the most significant counter word, so streams never collide however
-    many draws one step consumes.  Blocks are packed in reading order into
+    ``blocks`` lists ``(seed, step, shape)`` in the order the Euler loop
+    reads them, and the generator yields them in that order, each a view
+    valid until the next one is asked for.  Block ``step`` of stream
+    ``seed`` is the Philox stream with key (seed, 0) and the step in the
+    most significant counter word, so streams never collide however many
+    draws one step consumes.  Blocks are packed in reading order into
     chunks of about 512 KiB (one block if larger); up to ``_WORKERS + 1``
     buffers the size of the largest chunk, allocated here on the calling
     thread, are refilled in place while the caller reads the others.
     Closing the generator cancels what is queued and joins the workers.
     """
-    cap = max(_CHUNK_FLOATS, max(math.prod(b[3]) for b in blocks))
-    chunks = []  # [(seed, extra, step, offset, shape)] per chunk
+    cap = max(_CHUNK_FLOATS, max(math.prod(b[2]) for b in blocks))
+    chunks = []  # [(seed, step, offset, shape)] per chunk
     used = cap
-    for seed, extra, step, shape in blocks:
+    for seed, step, shape in blocks:
         if used + math.prod(shape) > cap:
             chunks.append([])
             used = 0
-        chunks[-1].append((seed, extra, step, used, shape))
+        chunks[-1].append((seed, step, used, shape))
         used += math.prod(shape)
-    size = max(b[3] + math.prod(b[4]) for chunk in chunks for b in chunk)
+    size = max(b[2] + math.prod(b[3]) for chunk in chunks for b in chunk)
     ring = [np.empty(size) for _ in range(min(_WORKERS + 1, len(chunks)))]
     pool = ThreadPoolExecutor(max_workers=min(_WORKERS, len(chunks)))
 
     def submit(c):
         """Queue chunk ``c`` into its ring buffer; its future and block views."""
         buf, views, items = ring[c % len(ring)], [], []
-        for seed, extra, step, off, shape in chunks[c]:
+        for seed, step, off, shape in chunks[c]:
             views.append(buf[off:off + math.prod(shape)].reshape(shape))
-            items.append((np.array([seed % 2**64, extra % 2**64], dtype=np.uint64),
+            items.append((np.array([seed % 2**64, 0], dtype=np.uint64),
                           np.array([0, 0, 0, step], dtype=np.uint64), views[-1]))
         return pool.submit(_draw, items), views
 
@@ -259,8 +248,7 @@ class _Run:
             ensembles[start] = _initial_ensemble(init, cfg.n_particles, cfg.seed)
         ensemble = ensembles[start]
         self.X, self.w = ensemble.points, ensemble.weights
-        extra = 0 if cfg.crn else _content_digest(init, mu_flow, nu_flow)
-        self.noise = (cfg.seed, extra, self.X.shape)
+        self.noise = (cfg.seed, self.X.shape)
         self.laws = [Measure(self.X.copy(), self.w, self.dim)] if 0 in self.recorded else []
 
     def shares(self, step: int) -> tuple:
@@ -288,9 +276,9 @@ def simulate_many(model: Model, runs) -> list:
 
     Each run is ``(mu_flow, nu_flow, init, cfg, record_times)``; the result
     lists, in run order, the flow :func:`simulate_frozen` returns for each,
-    to the bit.  Each run keeps its own schedule.  Runs sharing (seed, noise
-    key, particle shape) read one noise block per step index, each scaled
-    by its own step.  Runs whose initial law, particle count and seed are
+    to the bit.  Each run keeps its own schedule.  Runs sharing (seed,
+    particle shape) read one noise block per step index, each scaled by its
+    own step.  Runs whose initial law, particle count and seed are
     the same objects and values share one state, and one update per step,
     while their flows and step nodes agree: runs up to different horizons
     fork where the shorter schedule's last step begins.
@@ -301,8 +289,7 @@ def simulate_many(model: Model, runs) -> list:
     noises = list(dict.fromkeys(r.noise for r in runs))
     ends = {k: max(r.steps for r in runs if r.noise == k) for k in noises}
     reads = [[k for k in noises if step < ends[k]] for step in range(max(ends.values()))]
-    blocks = [(seed, extra, step, shape)
-              for step, keys in enumerate(reads) for seed, extra, shape in keys]
+    blocks = [(seed, step, shape) for step, keys in enumerate(reads) for seed, shape in keys]
     with closing(_noise_ahead(blocks)) as stream:
         for step, keys in enumerate(reads):
             for key in keys:
@@ -323,8 +310,8 @@ def simulate_frozen(model: Model, mu_flow: Flow, nu_flow: Flow, init: Measure,
     """Euler-Maruyama for X' = b(X, mu_t) dt + sigma(X, nu_t) dW on [t0, t1].
 
     Returns the empirical law at every record time, each in [t0, t1] and
-    further than the time tolerance from the others.  Deterministic, and
-    bit-identical across runs sharing (seed, schedule) when crn is set.
+    further than the time tolerance from the others.  Deterministic, and the
+    noise is bit-identical across runs sharing (seed, schedule).
     Drift and diffusion are evaluated once per row, flow node or step,
     according to what their expression trees read.  The one-run case of
     :func:`simulate_many`.

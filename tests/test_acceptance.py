@@ -164,11 +164,11 @@ def test_criterion_05_duhamel_solver(brownian_model, const_drift_model, arctan_m
 
     # mean-field case: true flow plugged in, Monte Carlo histogram oracle
     gamma = Measure.dirac([1.0])
-    flow_cfg = SimConfig(20_000, 1e-3, 0.0, 0.25, seed=7, crn=True)
+    flow_cfg = SimConfig(20_000, 1e-3, 0.0, 0.25, seed=7)
     flows = solve_mvsde(arctan_model, gamma, flow_cfg, tol=0.05).solution
     g2 = solve_density(arctan_model, flows, flows, 1.0, 0.0, 0.25, tol=1e-5, cells=1024)
     n_mc = 100_000
-    mc_cfg = SimConfig(n_mc, 1e-3, 0.0, 0.25, seed=24, crn=True)
+    mc_cfg = SimConfig(n_mc, 1e-3, 0.0, 0.25, seed=24)
     mc = simulate_frozen(arctan_model, flows, flows, gamma, mc_cfg,
                          record_times=[0.0, 0.25])
     hist, _ = np.histogram(mc.measures[-1].points[:, 0], bins=g2.edges())
@@ -189,7 +189,7 @@ def test_criterion_06_two_step_fixed_point(arctan_model, tanh_model):
     reports = {}
     for model, gamma, seed in ((arctan_model, Measure.dirac([1.0]), 11),
                                (tanh_model, Measure.dirac([0.0]), 13)):
-        cfg = SimConfig(100_000, 1e-3, 0.0, 0.25, seed=seed, crn=True)
+        cfg = SimConfig(100_000, 1e-3, 0.0, 0.25, seed=seed)
         rep = solve_mvsde(model, gamma, cfg, tol=0.05)
         ratios = list(rep.contraction_history["outer_ratios"])
         for info in rep.contraction_history["inner"]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -203,18 +204,18 @@ def test_flow_property_restart(arctan_model):
     # the reached law, within a few multiples of the Monte Carlo floor.
     n, dt = 20_000, 1e-3
     gamma = Measure.dirac([1.0])
-    full_cfg = SimConfig(n, dt, 0.0, 0.2, seed=11, crn=True)
+    full_cfg = SimConfig(n, dt, 0.0, 0.2, seed=11)
     full = solve_mvsde(arctan_model, gamma, full_cfg, tol=0.05)
     i_mid = int(np.searchsorted(full.solution.times, 0.1 - 1e-12))
     assert full.solution.times[i_mid] == pytest.approx(0.1, abs=1e-9)
     mid_law = full.solution.measures[i_mid]
-    restart_cfg = SimConfig(n, dt, 0.1, 0.2, seed=23, crn=True)
+    restart_cfg = SimConfig(n, dt, 0.1, 0.2, seed=23)
     restarted = solve_mvsde(arctan_model, mid_law, restart_cfg, tol=0.05)
     w = metrics.wasserstein(full.solution.measures[-1],
                             restarted.solution.measures[-1], 1.0).value
     # decoupled same-law floor at the terminal time
-    probe_a = SimConfig(n, dt, 0.0, 0.2, seed=31, crn=True)
-    probe_b = SimConfig(n, dt, 0.0, 0.2, seed=37, crn=True)
+    probe_a = SimConfig(n, dt, 0.0, 0.2, seed=31)
+    probe_b = SimConfig(n, dt, 0.0, 0.2, seed=37)
     fa = simulate_frozen(arctan_model, full.solution, full.solution, gamma, probe_a,
                          record_times=[0.0, 0.2])
     fb = simulate_frozen(arctan_model, full.solution, full.solution, gamma, probe_b,
@@ -328,6 +329,8 @@ def _brownian_config(tmp_path, kind="solve", **fields):
     ({"gamma1": {"type": "atoms", "points": [[0.0], [1.0, 2.0]]}}, [], "/gamma1/points/1"),
     ({"gamma1": {"type": "dirac", "point": [0.0, 0.0]}}, [], "/gamma1"),
     ({"gamma2": {"type": "atoms", "points": [[0.0, 1.0]]}}, [], "/gamma2"),
+    # every run uses common random numbers: the former switch is an unknown key
+    ({"sim": {"t1": 0.1, "crn": True}}, [], "/sim/crn"),
 ])
 def test_cli_rejects_bad_values_at_parse_time(tmp_path, capsys, fields, argv, pointer):
     # Each value used to be coerced, or to fail with a traceback once read.
@@ -433,6 +436,34 @@ def test_csv_spec_resolves_against_config_dir(tmp_path, monkeypatch):
     assert np.array_equal(cfg.gamma1.weights, law.weights)
 
 
+@pytest.mark.parametrize("rows", [
+    "w,x1\nnan,0.0\n0.5,1.0\n",  # used to be accepted with NaN weights
+    "w,x1\n0.5,inf\n0.5,1.0\n",  # used to fail without a pointer
+], ids=["nan_weight", "inf_coordinate"])
+@pytest.mark.parametrize("gamma", ["gamma1", "gamma2"])
+def test_csv_law_with_a_non_finite_value_fails_at_its_path(tmp_path, capsys, rows, gamma):
+    (tmp_path / "law.csv").write_text(rows)
+    cfg = _brownian_config(tmp_path, **{gamma: {"type": "csv", "path": "law.csv"}})
+    rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: /{gamma}/path: cannot read measure CSV") and "non-finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_example_parses(tmp_path):
+    # The README's schema example, its comments stripped and its model path
+    # pointed at the shipped model, is a valid config.
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment config schema", 1)[1]
+    example = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(re.sub(r"//[^\n]*", "", example))
+    raw["model"] = str(CONFIGS.parent / "models" / "brownian.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    cfg = parse_config(tmp_path / "cfg.json")
+    assert config_to_json(cfg)["sim"] == {**raw["sim"], "t0": 0.0, "crn": True}
+
+
 def test_csv_spec_missing_file_exits_1(tmp_path, capsys):
     cfg_path = _gamma_config(tmp_path, {"type": "csv", "path": "missing.csv"})
     rc = cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
@@ -498,6 +529,14 @@ _TIMES = [0.02, 0.05, 0.1]
     ("regularity", {"gamma2": {"type": "dirac", "point": [0.05]}, "times": _TIMES,
                     "sim": {"t0": 0.03, "t1": 0.1}}, "/times/0"),
     ("duhamel", {"model": "diag"}, "/model"),
+    # a slope needs two distinct perturbation sizes; these ended in a traceback
+    # or a RankWarning after a full solve
+    ("stability", {"options": {"deltas": []}}, "/options/deltas"),
+    ("stability", {"options": {"deltas": [0.01]}}, "/options/deltas"),
+    ("stability", {"options": {"deltas": [0.01, 0.01]}}, "/options/deltas"),
+    # a Monte Carlo check needs a horizon, and one of each
+    ("duhamel", {"options": {"horizons": []}}, "/options/horizons"),
+    ("duhamel", {"options": {"horizons": [0.05, 0.1, 0.05]}}, "/options/horizons"),
 ])
 def test_cli_rejects_bad_run_values_at_parse_time(tmp_path, capsys, kind, fields, pointer):
     # Each value used to pass, or to fail late without a pointer, or to be
@@ -539,18 +578,18 @@ def _recording(monkeypatch, name, calls):
 
 
 def test_regularity_runs_the_sim_it_echoes(tmp_path, monkeypatch):
-    # crn false and a t1 past the last time point used to be echoed in
-    # summary.json and then replaced by crn true and t1 = times[-1].
+    # A t1 past the last time point used to be echoed in summary.json and
+    # then replaced by t1 = times[-1].
     path = _brownian_config(tmp_path, "regularity", gamma2={"type": "dirac", "point": [0.05]},
                             times=_TIMES, sim={"n_particles": 500, "dt": 0.01, "t1": 0.2,
-                                               "crn": False, "seed": 3})
+                                               "seed": 3})
     cfg = parse_config(path)
     solves, sims = [], []
     _recording(monkeypatch, "solve_mvsde", solves)
     _recording(monkeypatch, "simulate_many", sims)
     report = run_experiment(cfg)
     assert report.metadata["config"]["sim"] == cfg.sim.to_json()
-    assert cfg.sim.t1 == 0.2 and cfg.sim.crn is False
+    assert cfg.sim.t1 == 0.2
     assert [args[2] for args, _ in solves] == [cfg.sim, cfg.sim]
     assert [run[3] for args, _ in sims for run in args[1]] == [cfg.sim, cfg.sim]
 
@@ -574,4 +613,3 @@ def test_duhamel_starts_at_t0(tmp_path, monkeypatch):
     assert [args[4:6] for args, _ in densities] == [(0.1, 0.2), (0.1, 0.3)]
     [(args, _)] = sims
     assert [(run[3].t0, run[3].t1) for run in args[1]] == [(0.1, 0.2), (0.1, 0.3)]
-    assert all(run[3].crn == cfg.sim.crn for run in args[1])

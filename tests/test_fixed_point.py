@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from conftest import arctan_mean_oracle, tanh_variance_oracle
 
 
 def _cfg(n=20_000, dt=1e-3, t1=0.25, seed=11):
-    return SimConfig(n, dt, 0.0, t1, seed=seed, crn=True)
+    return SimConfig(n, dt, 0.0, t1, seed=seed)
 
 
 def _record_simulations(monkeypatch) -> list:
@@ -353,17 +352,6 @@ def test_reuse_leaves_the_solve_unchanged(request, monkeypatch, name, x0, calls)
     assert fast.to_json() == slow.to_json()
     assert all(np.array_equal(a.points, b.points)
                for a, b in zip(fast.solution.measures, slow.solution.measures))
-
-
-def test_decoupled_noise_simulates_every_sweep(arctan_model, monkeypatch):
-    # With crn off each sweep's noise is keyed by its inputs, so the first
-    # sweep differs from the floor's first run and measure-free sigma does
-    # not make sweeps repeat: every sweep is simulated.
-    digests = _record_simulations(monkeypatch)
-    rep = solve_mvsde(arctan_model, Measure.dirac([1.0]), replace(_cfg(n=2000), crn=False),
-                      tol=0.05)
-    assert len(digests) == 2 + sum(rep.inner_iterations)
-    assert len(set(digests)) == len(digests)
 
 
 def _random_flow(rng, nodes=5, n=500):

@@ -37,6 +37,16 @@ def test_measure_invariants():
         Measure.dirac([np.nan])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from_points divides by the sum
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 0.5], [-np.inf, np.inf]])
+def test_a_non_finite_weight_is_rejected(weights):
+    # NaN compares False with 0 and with the tolerance, so it used to pass.
+    with pytest.raises(NumericsError, match="non-finite weight"):
+        Measure(np.zeros((2, 1)), np.array(weights), 1)
+    with pytest.raises(NumericsError, match="non-finite weight"):
+        Measure.from_points([[0.0], [1.0]], weights)
+
+
 def test_moment_examples():
     assert moment_k(Measure.dirac([0.0]), 2.0) == 0.0
     sym = Measure.from_points([[-1.0], [1.0]])

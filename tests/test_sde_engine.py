@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def test_determinism_bit_identical(brownian_model):
 
 
 def test_crn_couples_different_initials(brownian_model):
-    cfg = SimConfig(20_000, 1e-2, 0.0, 0.25, seed=3, crn=True)
+    cfg = SimConfig(20_000, 1e-2, 0.0, 0.25, seed=3)
     flow = _const_flow()
     a = simulate_frozen(brownian_model, flow, flow, Measure.dirac([0.0]), cfg,
                         record_times=[0.25])
@@ -72,19 +73,23 @@ def test_crn_couples_different_initials(brownian_model):
     assert np.allclose(b.measures[-1].points - a.measures[-1].points, 0.2, atol=1e-12)
 
 
-def test_crn_false_decouples(brownian_model):
+def test_shifted_seeds_decouple(brownian_model):
+    # The noise floor's shift: seeds s and s + 7919 draw independent noise,
+    # so the difference of two Brownian increments has std sqrt(2 t).
     flow = _const_flow()
-    cfg = SimConfig(20_000, 1e-2, 0.0, 0.25, seed=3, crn=False)
-    a = simulate_frozen(brownian_model, flow, flow, Measure.dirac([0.0]), cfg,
-                        record_times=[0.25])
-    b = simulate_frozen(brownian_model, flow, flow, Measure.dirac([0.2]), cfg,
-                        record_times=[0.25])
-    diff = b.measures[-1].points - a.measures[-1].points
-    assert diff.std() > 0.3  # independent runs: std ~ sqrt(2 * 0.25)
-    # still deterministic
-    b2 = simulate_frozen(brownian_model, flow, flow, Measure.dirac([0.2]), cfg,
-                         record_times=[0.25])
-    assert np.array_equal(b.measures[-1].points, b2.measures[-1].points)
+    init = Measure.dirac([0.0])
+    n, t = 20_000, 0.25
+    runs = []
+    for seed in (3, 3 + 7919):
+        cfg = SimConfig(n, 1e-2, 0.0, t, seed=seed)
+        out = [simulate_frozen(brownian_model, flow, flow, init, cfg, record_times=[t])
+               for _ in range(2)]
+        assert np.array_equal(out[0].measures[-1].points, out[1].measures[-1].points)
+        runs.append(out[0].measures[-1].points[:, 0])
+    diff = runs[1] - runs[0]
+    # the sample std of n normals is within 4 standard errors, sqrt(2 t / (2 n)) each
+    assert abs(diff.std() - math.sqrt(2 * t)) <= 4 * math.sqrt(t / n)
+    assert abs(np.corrcoef(runs[0], runs[1])[0, 1]) <= 4 / math.sqrt(n)
 
 
 def test_flow_coverage_gap_raises(brownian_model):
@@ -140,7 +145,7 @@ def test_particle_count_self_consistency(brownian_model):
     init = Measure.dirac([0.0])
 
     def run(n, seed):
-        cfg = SimConfig(n, 1e-2, 0.0, 0.25, seed=seed, crn=False)
+        cfg = SimConfig(n, 1e-2, 0.0, 0.25, seed=seed)
         return simulate_frozen(brownian_model, flow, flow, init, cfg,
                                record_times=[0.25]).measures[-1]
 
@@ -253,26 +258,24 @@ def _varying_flow(t1, nodes, seed):
                              for i in range(nodes)))
 
 
-def _philox_block(seed, extra, step, shape):
-    """Noise block ``step``: Philox keyed by (seed, extra), the step in the top counter word."""
-    key = np.array([seed % 2**64, extra % 2**64], dtype=np.uint64)
+def _philox_block(seed, step, shape):
+    """Noise block ``step``: Philox keyed by (seed, 0), the step in the top counter word."""
+    key = np.array([seed % 2**64, 0], dtype=np.uint64)
     counter = np.array([0, 0, 0, step], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal(shape)
 
 
 def _reference_euler(model, mu_flow, nu_flow, init, cfg, record_times):
     """Euler loop evaluating drift and sigma on every row at every step via Flow.at."""
-    from mvsde import sde_engine
     from mvsde.coefficients import drift_batch, sigma_batch
 
     grid = np.union1d(step_times(cfg), record_times)
-    extra = 0 if cfg.crn else sde_engine._content_digest(init, mu_flow, nu_flow)
     X = init.points.copy()
     laws = [X.copy()] if grid[0] in record_times else []
     for step in range(len(grid) - 1):
         t, h = grid[step], grid[step + 1] - grid[step]
         s = sigma_batch(model, t, X, nu_flow.at(t))
-        noise = s * (_philox_block(cfg.seed, extra, step, X.shape) * math.sqrt(h))
+        noise = s * (_philox_block(cfg.seed, step, X.shape) * math.sqrt(h))
         if model.constants.b_sup > 0:
             X = X + drift_batch(model, t, X, mu_flow.at(t)) * h + noise
         else:
@@ -282,14 +285,13 @@ def _reference_euler(model, mu_flow, nu_flow, init, cfg, record_times):
     return laws
 
 
-@pytest.mark.parametrize("crn", [True, False])
 @pytest.mark.parametrize("nodes", [9, 1])
 @pytest.mark.parametrize("name", KERNEL_MODELS)
-def test_kernel_matches_full_batch_euler(request, name, nodes, crn):
+def test_kernel_matches_full_batch_euler(request, name, nodes):
     # 0.0625 / 1e-3 gives a ragged last step; 0.0205 splits a step in two;
     # an odd particle count leaves a tail after any SIMD block.
     model = _kernel_model(request, name)
-    cfg = SimConfig(301, 1e-3, 0.0, 0.0625, seed=4, crn=crn)
+    cfg = SimConfig(301, 1e-3, 0.0, 0.0625, seed=4)
     mu = _varying_flow(cfg.t1, nodes, 1)
     nu = _varying_flow(cfg.t1, nodes, 2)
     init = Measure.from_points(np.random.default_rng(3).normal(0.5, 1.0, (301, 1)))
@@ -355,7 +357,7 @@ def _stack(draw):
     for _ in range(draw(st.integers(1, 4))):
         t1 = draw(st.sampled_from(_T1S))
         cfg = SimConfig(draw(st.sampled_from([37, 50])), draw(st.sampled_from([1e-3, 2.5e-3])),
-                        0.0, t1, seed=draw(st.sampled_from([4, 5])), crn=draw(st.booleans()))
+                        0.0, t1, seed=draw(st.sampled_from([4, 5])))
         record = draw(st.lists(st.sampled_from([t for t in _RECORD if t < t1] + [t1]),
                                min_size=1, max_size=3, unique=True))
         mu, nu = draw(st.sampled_from(_FLOWS)), draw(st.sampled_from(_FLOWS))
@@ -411,12 +413,12 @@ def test_identical_runs_share_state_until_their_nodes_differ(arctan_model, monke
         assert _same_flow(flow_out, simulate_frozen(arctan_model, *run))
 
 
-def test_decoupled_runs_draw_their_own_blocks(brownian_model, monkeypatch):
-    # crn=False: each run's noise key mixes a digest of its own inputs.
+def test_runs_with_shifted_seeds_draw_their_own_blocks(brownian_model, monkeypatch):
+    # Stacked runs share a block only when they share the seed.
     flows, inits = _pools()
-    cfg = SimConfig(40, 1e-2, 0.0, 0.05, seed=3, crn=False)
+    cfg = SimConfig(40, 1e-2, 0.0, 0.05, seed=3)
     runs = [(flows[0], flows[0], inits[0], cfg, [0.05]),
-            (flows[0], flows[0], inits[1], cfg, [0.05])]
+            (flows[0], flows[0], inits[1], replace(cfg, seed=3 + 7919), [0.05])]
     draws = []
     _counting(monkeypatch, "_step_noise", draws)
     a, b = simulate_many(brownian_model, runs)
@@ -518,7 +520,7 @@ def test_the_ring_is_freed_when_its_generator_closes(tanh_drift_model, monkeypat
                 simulate_frozen(tanh_drift_model, *_long_run(tanh_drift_model))
         assert freed()
         refs.clear()
-        stream = sde_engine._noise_ahead([(11, 0, step, (3000, 1)) for step in range(100)])
+        stream = sde_engine._noise_ahead([(11, step, (3000, 1)) for step in range(100)])
         recording(stream)  # the first block: every chunk in the ring is queued
         assert threading.active_count() == before + 2
         stream.close()
