@@ -13,7 +13,9 @@ directory that is removed afterwards.
 
 ``scripts/smoke_digests.txt`` holds the lines this script prints with
 numpy 2.4.6 and scipy 1.17.1, and CI compares its output with that file; a
-change that moves outputs on purpose updates the file and says so::
+change that moves outputs on purpose updates the file and says so.  The
+outputs depend on scipy only through the LP that ``gradient_brownian``
+solves; every other run loads no scipy module::
 
     python3 scripts/smoke_digests.py | diff scripts/smoke_digests.txt -
 """

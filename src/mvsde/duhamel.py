@@ -18,9 +18,9 @@ Numerical scheme
 * Inner space integrals use exact per-cell antiderivatives of the kernel
   derivatives against cellwise-constant data, which stays accurate when the
   kernel width drops toward the cell size near the singular end.
-* With a state-free diffusion those integrals are convolutions (FFT); the
-  kernel spectra depend on the time pair only and are computed once per
-  horizon, so a sweep transforms one data row per time node.
+* With a state-free diffusion those integrals are convolutions by numpy's FFT
+  (with the bits of SciPy's); kernel spectra depend on the time pair only and
+  are computed once per horizon, so a sweep transforms one row per time node.
 * The quadrature endpoint r -> t is the analytic limit of the inner
   integral, evaluated by central differences of the current iterate:
   -(b p)' for the drift term and p' a' + p a''/2 for the trace term.
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .coefficients import Model, diffusion_matrix_batch, drift_batch
 from .errors import ConvergenceError, DomainError, NumericsError, QuadratureError
@@ -42,6 +42,12 @@ from .gaussian_kernel import variance_profile
 from .measures import TIME_TOL, Flow, write_csv
 
 MAX_PICARD_ITER = 50
+
+
+def _next_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, as SciPy's ``fft.next_fast_len(n, real=True)``."""
+    odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)  # m 2^k, the least >= n
 
 
 def _phi(dev, var):
@@ -198,9 +204,9 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
         # frozen variance is one scalar per time pair and the exact per-cell
         # kernel integrals become a convolution kernel in z - c (offsets m*h).
         # No sweep changes a kernel, so each is transformed once, at the
-        # length and with the calls scipy.signal.fftconvolve(mode="full") uses.
+        # length and with the calls SciPy's signal.fftconvolve(mode="full") uses.
         offsets = np.arange(-(cells - 1), cells) * h
-        nfft = next_fast_len(3 * cells - 2, True)
+        nfft = _next_fast_len(3 * cells - 2)
         kernel_spectra = {}
         for j in range(time_nodes):
             for l in range(j):

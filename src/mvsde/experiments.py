@@ -213,7 +213,10 @@ def _check_runner_inputs(cfg: ExperimentConfig) -> None:
             # The solver starts from a point; a wider Monte Carlo start would
             # report a theory failure for what is a config error.
             raise ConfigError("duhamel validation needs a Dirac initial", "/gamma1")
-        _within_run(cfg.options.get("horizons", ()), "/options/horizons", cfg.sim.t0, cfg.sim.t1)
+        horizons = cfg.options.get("horizons", ())
+        _within_run(horizons, "/options/horizons", cfg.sim.t0, cfg.sim.t1)
+        if len({f"{hz:.6f}" for hz in horizons}) < len(horizons):  # 6 decimals name the CSVs
+            raise ConfigError(f"horizons alike at 6 decimals: {horizons}", "/options/horizons")
 
 
 def _measure_from_spec(spec, pointer: str, config_path) -> Measure:

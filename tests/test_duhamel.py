@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 from scipy.stats import norm
 
@@ -262,3 +263,9 @@ def test_state_free_path_matches_fftconvolve_bit_for_bit(arctan_model):
     grid = solve_density(arctan_model, flow, flow, 1.0, 0.0, 0.0625, cells=128)
     assert grid.iterations > 1
     assert np.array_equal(grid.p, _fftconvolve_density(arctan_model, flow, 1.0, 0.0, 0.0625, 128))
+
+
+def test_fft_lengths_are_scipys():
+    # 3 * cells - 2 for every grid up to 4096 cells.
+    ns = range(1, 3 * 4096 + 1)
+    assert [duhamel._next_fast_len(n) for n in ns] == [next_fast_len(n, True) for n in ns]

@@ -537,6 +537,8 @@ _TIMES = [0.02, 0.05, 0.1]
     # a Monte Carlo check needs a horizon, and one of each
     ("duhamel", {"options": {"horizons": []}}, "/options/horizons"),
     ("duhamel", {"options": {"horizons": [0.05, 0.1, 0.05]}}, "/options/horizons"),
+    # each horizon names its CSV files at six decimals; these two shared them
+    ("duhamel", {"options": {"horizons": [0.05, 0.0500001]}}, "/options/horizons"),
 ])
 def test_cli_rejects_bad_run_values_at_parse_time(tmp_path, capsys, kind, fields, pointer):
     # Each value used to pass, or to fail late without a pointer, or to be

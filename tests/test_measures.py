@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.stats import norm
 
 from mvsde import fixed_point, measures, metrics
@@ -37,7 +38,7 @@ def test_measure_invariants():
         Measure.dirac([np.nan])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from_points divides by the sum
+@pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
 @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 0.5], [-np.inf, np.inf]])
 def test_a_non_finite_weight_is_rejected(weights):
     # NaN compares False with 0 and with the tolerance, so it used to pass.
@@ -262,6 +263,39 @@ def test_1d_binning_adds_as_the_corner_loop(case):
     grid = GridSpec([lo], [hi], (cells,))
     m = Measure.from_points(np.array(atoms)[:, None], weights)
     assert measures._linear_binning(m, grid).tobytes() == _corner_loop(m, grid).tobytes()
+
+
+@st.composite
+def _smoothing_case(draw):
+    # The KDE grids: 1024 cells in 1D, 128 x 128 in 2D.  Sigmas span radius 0
+    # (sigma < 0.05), axes skipped as ndimage skips them (sigma <= 1e-15), and
+    # radii beyond the grid, each axis drawn on its own.
+    shape = draw(st.sampled_from([(1024,), (128, 128)]))
+    hist = np.zeros(shape)
+    for _ in range(draw(st.integers(1, 30))):
+        cell = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        hist[cell] += draw(st.floats(1e-6, 10.0))
+    if draw(st.booleans()):  # a dense run of unequal masses, zeros around it
+        start, stop = sorted(draw(st.integers(0, shape[0])) for _ in range(2))
+        seed = draw(st.integers(0, 2**32 - 1))
+        hist[start:stop] += np.random.default_rng(seed).exponential(size=hist[start:stop].shape)
+    sigma = st.one_of(st.floats(0.0, 0.05), st.floats(0.05, 20.0), st.floats(20.0, 130.0),
+                      st.sampled_from([0.0, 1e-15, 0.049999, 0.05]))
+    return hist, np.array([draw(sigma) for _ in shape])
+
+
+@settings(deadline=None, max_examples=80)
+@given(_smoothing_case())
+@example((np.eye(1, 1024, 511)[0], np.array([0.04])))       # radius 0
+@example((np.eye(1, 1024, 3)[0], np.array([110.0])))        # radius 1100 > 1024 cells
+@example((np.eye(128, 128, 5), np.array([0.0, 13.5])))       # one axis skipped, radius 135 > 128
+@example((np.eye(128, 128, 5) * np.arange(128.0), np.array([0.7, 30.0])))  # unequal sigmas
+def test_the_smoother_is_ndimage_bit_for_bit(case):
+    hist, sigma = case
+    got = measures._gaussian_filter(hist, sigma)
+    want = ndimage.gaussian_filter(hist, sigma, mode="constant", truncate=10.0)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous  # to_density's mass sum adds in C order
 
 
 def test_a_memoised_offset_is_a_fresh_generators_draw():
