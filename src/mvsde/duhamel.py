@@ -3,8 +3,9 @@
 The transition density p of the drifted SDE equals the drift-free frozen
 Gaussian kernel q plus a space-time remainder coupling p, the drift, and the
 spatial variation of the diffusion matrix.  The solver iterates this
-identity (Picard) on a 1D grid; the remainder operator integrates the same
-two terms against a test function.
+identity (Picard) on a 1D :class:`~mvsde.measures.GridSpec`, whose cell
+centres, edges and width it reads; the remainder operator integrates the
+same two terms against a test function on the solver's grid.
 
 Numerical scheme
 ----------------
@@ -39,7 +40,7 @@ from numpy.fft import irfft, rfft
 from .coefficients import Model, diffusion_matrix_batch, drift_batch
 from .errors import ConvergenceError, DomainError, NumericsError, QuadratureError
 from .gaussian_kernel import variance_profile
-from .measures import TIME_TOL, Flow, write_csv
+from .measures import TIME_TOL, Flow, GridSpec, write_csv
 
 MAX_PICARD_ITER = 50
 
@@ -59,18 +60,16 @@ class DuhamelGrid:
     """Converged (or iterating) density table on a 1D space grid.
 
     ``times`` excludes the start time s, where the density is an exact Dirac
-    at x0.  ``p`` has one row per time node, values at cell centers.
+    at x0.  ``p`` has one row per time node, values at the cell centers of
+    ``grid``.
     """
 
-    x_lo: float
-    x_hi: float
-    cells: int
+    grid: GridSpec
     s: float
     t: float
     x0: float
     times: np.ndarray
     p: np.ndarray
-    tol: float
     iterations: int
     residuals: tuple
     mass_errors: np.ndarray
@@ -79,13 +78,14 @@ class DuhamelGrid:
 
     @property
     def h(self) -> float:
-        return (self.x_hi - self.x_lo) / self.cells
+        """The cell width."""
+        return self.grid.cell_volume()
 
     def centers(self) -> np.ndarray:
-        return self.x_lo + (np.arange(self.cells) + 0.5) * self.h
+        return self.grid.axes()[0]
 
     def edges(self) -> np.ndarray:
-        return self.x_lo + np.arange(self.cells + 1) * self.h
+        return self.grid.edges()[0]
 
     def final_density(self) -> np.ndarray:
         return self.p[-1]
@@ -95,7 +95,7 @@ class DuhamelGrid:
         # One block per time node: the text of all cells at once would cost
         # ~150 B per cell.
         write_csv(path, ["t", "x", "p"],
-                  *([np.full(self.cells, ti), xs, row] for ti, row in zip(self.times, self.p)))
+                  *([np.full(len(xs), ti), xs, row] for ti, row in zip(self.times, self.p)))
 
     def residuals_csv(self, path) -> None:
         write_csv(path, ["iter", "residual"],
@@ -170,16 +170,15 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
     b_sup = model.constants.b_sup
 
     half = 8.0 * math.sqrt(K * (t - s)) + b_sup * (t - s)
-    x_lo, x_hi = x0 - half, x0 + half
-    h = (x_hi - x_lo) / cells
+    grid = GridSpec([x0 - half], [x0 + half], (cells,))
+    h = grid.cell_volume()  # the cell width
     if t - s < 4.0 * K * h * h:
         raise DomainError(
             f"horizon t-s={t - s:.3g} below the grid resolution floor "
             f"4*K*h^2={4 * K * h * h:.3g}; enlarge t-s or the cell count"
         )
 
-    centers = x_lo + (np.arange(cells) + 0.5) * h
-    edges = x_lo + np.arange(cells + 1) * h
+    (centers,), (edges,) = grid.axes(), grid.edges()
     times = _graded_times(s, t, time_nodes)
     knot_times = np.concatenate([[s], times])
 
@@ -195,7 +194,7 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
 
     if not has_drift and not has_trace:
         # Zero remainder: p = q exactly after one sweep.
-        return _finalize(x_lo, x_hi, cells, s, t, x0, times, Q.copy(), tol, 1, (0.0,), h)
+        return _finalize(grid, s, t, x0, times, Q.copy(), 1, (0.0,))
 
     if has_trace:
         dev_ce = centers[:, None] - edges[None, :]   # rows: output z, cols: edges in y
@@ -266,8 +265,7 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
         residuals.append(residual)
         P = newP
         if residual < tol:
-            return _finalize(x_lo, x_hi, cells, s, t, x0, times, P, tol,
-                             sweep + 1, tuple(residuals), h)
+            return _finalize(grid, s, t, x0, times, P, sweep + 1, tuple(residuals))
 
     raise ConvergenceError(
         f"Picard iteration did not reach tol={tol} in {MAX_PICARD_ITER} sweeps "
@@ -276,15 +274,15 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
     )
 
 
-def _finalize(x_lo, x_hi, cells, s, t, x0, times, P, tol, iterations, residuals, h):
+def _finalize(grid, s, t, x0, times, P, iterations, residuals):
+    h = grid.cell_volume()
     neg = np.minimum(P, 0.0)
     max_negative = float(-neg.min()) if neg.size else 0.0
     clamped = float(-neg.sum() * h)
     P = np.maximum(P, 0.0)
     mass_errors = np.abs(P.sum(axis=1) * h - 1.0)
     return DuhamelGrid(
-        x_lo=x_lo, x_hi=x_hi, cells=cells, s=s, t=t, x0=x0,
-        times=times, p=P, tol=tol, iterations=iterations,
+        grid=grid, s=s, t=t, x0=x0, times=times, p=P, iterations=iterations,
         residuals=residuals, mass_errors=mass_errors,
         clamped_mass=clamped, max_negative=max_negative,
     )
@@ -339,7 +337,7 @@ def _remainder_quadrature(model, mu_flow, nu_flow, p_table, f_cells, s, t,
         if p_row is None:
             # Before the first table node the density is still an almost
             # exact Dirac at x0; evaluate the inner integral there.
-            yi = int(np.clip(round((x0 - p_table.x_lo) / h - 0.5), 0, len(centers) - 1))
+            yi = int(np.clip(round((x0 - p_table.grid.lo[0]) / h - 0.5), 0, len(centers) - 1))
             inner = 0.0
             if has_drift:
                 b_r = drift_batch(model, r, np.array([[x0]]), mu_flow.at(r))[0, 0]

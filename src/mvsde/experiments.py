@@ -47,6 +47,7 @@ SMOKE_AUDIT_SAMPLES = 200
 EMIT_ATOMS = 4096  # per-node resample size for emitted law CSVs
 COMPARISON_BINS = 64  # duhamel: solver vs Monte Carlo TV on this many merged cells
 FLOW_PARTICLES = 20_000  # duhamel: particle cap of the solved mean-field flow
+DUHAMEL_HORIZONS = (0.0625, 0.125, 0.25)  # duhamel: horizons when the options give none
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +214,11 @@ def _check_runner_inputs(cfg: ExperimentConfig) -> None:
             # The solver starts from a point; a wider Monte Carlo start would
             # report a theory failure for what is a config error.
             raise ConfigError("duhamel validation needs a Dirac initial", "/gamma1")
+        if "horizons" not in cfg.options and not (
+                cfg.sim.t0 < DUHAMEL_HORIZONS[0] and DUHAMEL_HORIZONS[-1] <= cfg.sim.t1):
+            raise ConfigError(f"the default horizons {list(DUHAMEL_HORIZONS)} do not all lie in "
+                              f"the run interval ({cfg.sim.t0}, {cfg.sim.t1}]; give horizons",
+                              "/options/horizons")
         horizons = cfg.options.get("horizons", ())
         _within_run(horizons, "/options/horizons", cfg.sim.t0, cfg.sim.t1)
         if len({f"{hz:.6f}" for hz in horizons}) < len(horizons):  # 6 decimals name the CSVs
@@ -595,7 +601,7 @@ def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
 
 def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     """Duhamel grid solver against a Monte Carlo histogram at several horizons."""
-    horizons = [float(h) for h in cfg.option("horizons", [0.0625, 0.125, 0.25])]
+    horizons = [float(h) for h in cfg.option("horizons", DUHAMEL_HORIZONS)]
     cells = SMOKE_CELLS if cfg.smoke else 1024
     n_mc = SMOKE_MC_PARTICLES if cfg.smoke else 100_000
     tv_tol = float(cfg.option("tv_tol", 0.05))

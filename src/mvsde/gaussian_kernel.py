@@ -20,7 +20,7 @@ import numpy as np
 
 from .coefficients import Model, diffusion_matrix_batch
 from .errors import AuditError, DomainError, NumericsError, QuadratureError
-from .measures import Flow, write_csv
+from .measures import Flow, GridSpec, write_csv
 
 QUAD_CELLS = {1: 2**10, 2: 2**8}
 MASS_COVERAGE = 1.0 - 1e-8
@@ -160,21 +160,9 @@ def _quad_grid(cov: FrozenCovariance, center: np.ndarray, cells: int | None):
     d = cov.dim
     if d > 2:
         raise DomainError("grid quadrature supports dimension <= 2")
-    if cells is None:
-        cells = QUAD_CELLS[d]
     half = WINDOW_STDS * math.sqrt(float(np.linalg.eigvalsh(cov.a).max()))
-    axes, widths = [], []
-    for j in range(d):
-        lo, hi = center[j] - half, center[j] + half
-        w = (hi - lo) / cells
-        axes.append(lo + (np.arange(cells) + 0.5) * w)
-        widths.append(w)
-    if d == 1:
-        pts = axes[0][:, None]
-    else:
-        g = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([a.ravel() for a in g], axis=1)
-    return pts, float(np.prod(widths))
+    grid = GridSpec(center - half, center + half, (QUAD_CELLS[d] if cells is None else cells,) * d)
+    return grid.centers(), grid.cell_volume()
 
 
 def _derivative_tensor(cov: FrozenCovariance, x: np.ndarray, ys: np.ndarray, i: int):

@@ -2,14 +2,17 @@
 
 A :class:`Measure` is a finite weighted particle ensemble on R^d with unit
 total mass; a :class:`Density` holds values of a probability density at the
-cell centers of a rectangular grid (d <= 2); a :class:`Flow` is a
-time-indexed path of measures on a strictly increasing time grid.  All three
-are immutable after construction and every operation here is a pure function
-of its inputs (plus an explicit seed), so concurrent use is safe.
+cell centers of a :class:`GridSpec`, the package's one cell-centred grid
+(d <= 2); a :class:`Flow` is a time-indexed path of measures on a strictly
+increasing time grid.  All are immutable after construction and every
+operation here is a pure function of its inputs (plus an explicit seed), so
+concurrent use is safe.
 
 Each 1D measure is sorted at most once: :func:`quantile_form` memoises its
-sorted coordinates and cumulative weights, holding the measure weakly.  KDEs
-are smoothed by numpy code with the bits of SciPy's ``ndimage.gaussian_filter``."""
+sorted coordinates and cumulative weights, holding the measure weakly.  A KDE
+takes its grid and bandwidth from the caller, bins by one corner loop in
+every dimension, and is smoothed by numpy code with the bits of SciPy's
+``ndimage.gaussian_filter``."""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import csv
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -300,6 +303,11 @@ class GridSpec:
             for j in range(self.dim)
         ]
 
+    def edges(self):
+        """Per-axis cell-edge coordinates, one more than the cells."""
+        w = self.widths()
+        return [self.lo[j] + np.arange(self.shape[j] + 1) * w[j] for j in range(self.dim)]
+
     def centers(self) -> np.ndarray:
         """All cell centers as an (n_cells, dim) array (C order)."""
         ax = self.axes()
@@ -379,10 +387,6 @@ def auto_grid(m: Measure, bandwidth) -> GridSpec:
     bw = np.broadcast_to(np.atleast_1d(np.asarray(bandwidth, dtype=float)), (m.dim,))
     lo = m.points.min(axis=0) - 4.0 * bw
     hi = m.points.max(axis=0) + 4.0 * bw
-    span = hi - lo
-    # Guard against a zero-width axis (single atom): open up one bandwidth.
-    hi = np.where(span > 0, hi, hi + bw)
-    lo = np.where(span > 0, lo, lo - bw)
     return GridSpec(lo, hi, (DEFAULT_CELLS[m.dim],) * m.dim)
 
 
@@ -400,25 +404,21 @@ def pooled_grid(measures):
     return auto_grid(pooled, bw), bw
 
 
-def to_density(m: Measure, grid: GridSpec | None = None, bandwidth=None) -> Density:
+def to_density(m: Measure, grid: GridSpec, bandwidth) -> Density:
     """Gaussian kernel density estimate on a grid, renormalized to unit mass.
 
     The estimate is computed by binning particles into grid cells and
-    convolving with a Gaussian of the requested bandwidth (binned KDE); the
-    binning error is O((cell width / bandwidth)^2) and negligible for the
-    default grids.  If the grid fails to cover the particle range extended
-    by 4 bandwidths per axis (a 99.9%-mass proxy), the output carries
-    ``coverage_warning=True``.
+    convolving with a Gaussian of the given bandwidth (binned KDE); the
+    binning error is O((cell width / bandwidth)^2) and negligible on the
+    grids of :func:`pooled_grid`.  If the grid fails to cover the particle
+    range extended by 4 bandwidths per axis (a 99.9%-mass proxy), the output
+    carries ``coverage_warning=True``.
     """
     if m.dim > 2:
         raise DomainError("grid densities support dimension <= 2")
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(m)
     bw = np.broadcast_to(np.atleast_1d(np.asarray(bandwidth, dtype=float)), (m.dim,)).copy()
     if np.any(bw <= 0):
         raise DomainError("bandwidth must be positive")
-    if grid is None:
-        grid = auto_grid(m, bw)
 
     warn = bool(
         np.any(m.points.min(axis=0) - 4.0 * bw < grid.lo)
@@ -465,29 +465,20 @@ def _linear_binning(m: Measure, grid: GridSpec) -> np.ndarray:
 
     Second-order accurate and symmetry-preserving (an atom on a cell edge
     splits evenly).  Particles outside the grid are dropped; the caller
-    renormalizes.
+    renormalizes.  Corner c takes, on axis j, the upper neighbour when bit j
+    of c is set; each corner adds its particles in input order.
     """
-    w = grid.widths()
-    pos = (m.points - grid.lo) / w - 0.5  # in cell-center coordinates
+    pos = (m.points - grid.lo) / grid.widths() - 0.5  # in cell-center coordinates
     base = np.floor(pos).astype(int)
     frac = pos - base
     hist = np.zeros(grid.shape)
-    if grid.dim == 1:
-        # The corner loop's two additions, in its order, without its 2D indices.
-        b, f = base[:, 0], frac[:, 0]
-        for idx, weight in ((b, (1.0 - f) * m.weights), (b + 1, f * m.weights)):
-            ok = (idx >= 0) & (idx < grid.shape[0])
-            np.add.at(hist, idx[ok], weight[ok])
-        return hist
-    shape = np.asarray(grid.shape)
+    axes = range(grid.dim)
     for corner in range(2**grid.dim):
-        offs = np.array([(corner >> j) & 1 for j in range(grid.dim)])
-        idx = base + offs
-        weight = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1) * m.weights
-        ok = np.all((idx >= 0) & (idx < shape), axis=1)
-        if not np.any(ok):
-            continue
-        np.add.at(hist, tuple(idx[ok].T), weight[ok])
+        up = [(corner >> j) & 1 for j in axes]
+        index = [base[:, j] + 1 if up[j] else base[:, j] for j in axes]
+        factor = reduce(np.multiply, [frac[:, j] if up[j] else 1.0 - frac[:, j] for j in axes])
+        ok = reduce(np.logical_and, [(i >= 0) & (i < n) for i, n in zip(index, grid.shape)])
+        np.add.at(hist, tuple(i[ok] for i in index), (factor * m.weights)[ok])
     return hist
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mvsde.duhamel import DuhamelGrid
 from mvsde.experiments import ExperimentReport, Series, emit_report
 from mvsde.gaussian_kernel import exponent_scan
-from mvsde.measures import Measure, read_csv, resample, write_csv
+from mvsde.measures import GridSpec, Measure, read_csv, resample, write_csv
 
 
 def test_measure_to_csv_bytes_path_and_buffer(tmp_path):
@@ -29,9 +29,9 @@ def test_measure_to_csv_bytes_path_and_buffer(tmp_path):
 
 def _tiny_grid():
     return DuhamelGrid(
-        x_lo=0.0, x_hi=1.0, cells=2, s=0.0, t=0.5, x0=0.0,
+        grid=GridSpec([0.0], [1.0], (2,)), s=0.0, t=0.5, x0=0.0,
         times=np.array([0.25, 0.5]), p=np.array([[1.0, 0.5], [0.25, 1e-07]]),
-        tol=1e-6, iterations=3, residuals=(0.5, np.float64(1e-07), 1e17),
+        iterations=3, residuals=(0.5, np.float64(1e-07), 1e17),
         mass_errors=np.zeros(2), clamped_mass=0.0, max_negative=0.0,
     )
 

@@ -539,12 +539,17 @@ _TIMES = [0.02, 0.05, 0.1]
     ("duhamel", {"options": {"horizons": [0.05, 0.1, 0.05]}}, "/options/horizons"),
     # each horizon names its CSV files at six decimals; these two shared them
     ("duhamel", {"options": {"horizons": [0.05, 0.0500001]}}, "/options/horizons"),
+    # the default horizons reach 0.25: this run of t1 = 0.1 solved its mean field first
+    ("duhamel", {"model": "arctan"}, "/options/horizons"),
 ])
 def test_cli_rejects_bad_run_values_at_parse_time(tmp_path, capsys, kind, fields, pointer):
     # Each value used to pass, or to fail late without a pointer, or to be
     # overridden by the runner after summary.json had echoed it.
     if fields.get("model") == "diag":
         fields = dict(fields, model=_model_file(tmp_path, kind="diag"))
+    if fields.get("model") == "arctan":
+        fields = dict(fields, model=os.path.relpath(CONFIGS.parent / "models" / "arctan_drift.json",
+                                                   tmp_path))
     cfg = _brownian_config(tmp_path, kind, **fields)
     rc = cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"), "--smoke"])
     assert rc == 1

@@ -105,7 +105,8 @@ def test_to_density_symmetry_and_mass():
 def test_to_density_normal_l1_oracle():
     rng = np.random.default_rng(2)
     m = Measure.from_points(rng.standard_normal((100_000, 1)))
-    dens = to_density(m)  # Silverman default
+    bw = silverman_bandwidth(m)
+    dens = to_density(m, auto_grid(m, bw), bw)
     xs = dens.grid.centers()[:, 0]
     exact = norm.pdf(xs)
     l1 = float(np.abs(dens.values - exact).sum() * dens.grid.cell_volume())
@@ -119,19 +120,21 @@ def test_to_density_validity_property():
         n = int(rng.integers(1, 200))
         m = Measure.from_points(rng.normal(size=(n, d)) * rng.uniform(0.1, 3),
                                 rng.uniform(0.01, 1, n))
-        dens = to_density(m, bandwidth=rng.uniform(0.05, 0.5))
+        bw = rng.uniform(0.05, 0.5)
+        dens = to_density(m, auto_grid(m, bw), bw)
         assert dens.mass == pytest.approx(1.0, abs=1e-6)
         assert np.all(dens.values >= 0)
     with pytest.raises(DomainError):
-        to_density(Measure.dirac([0.0, 0.0, 0.0]), bandwidth=0.1)
+        to_density(Measure.dirac([0.0, 0.0, 0.0]), GridSpec([-1.0], [1.0], (8,)), 0.1)
     with pytest.raises(DomainError):
-        to_density(Measure.dirac([0.0]))  # zero spread, no bandwidth given
+        silverman_bandwidth(Measure.dirac([0.0]))  # zero spread
 
 
 def test_to_density_2d_normal_oracle():
     rng = np.random.default_rng(6)
     m = Measure.from_points(rng.standard_normal((50_000, 2)))
-    dens = to_density(m)
+    bw = silverman_bandwidth(m)
+    dens = to_density(m, auto_grid(m, bw), bw)
     assert dens.grid.dim == 2
     assert dens.mass == pytest.approx(1.0, abs=1e-6)
     centers = dens.grid.centers()
@@ -212,23 +215,21 @@ def test_measure_csv_roundtrip_bit_identical(data):
     assert back.weights.tobytes() == m.weights.tobytes()
 
 
-def _corner_loop(m, grid):
-    # The general corner loop of measures._linear_binning, kept here as the
-    # reference its 1D path must match bit for bit.
-    w = grid.widths()
-    pos = (m.points - grid.lo) / w - 0.5
-    base = np.floor(pos).astype(int)
-    frac = pos - base
+def _per_particle_binning(m, grid):
+    # Linear binning one particle at a time: for each corner in order, each
+    # particle in input order adds its share when that corner lies inside.
     hist = np.zeros(grid.shape)
-    shape = np.asarray(grid.shape)
     for corner in range(2**grid.dim):
-        offs = np.array([(corner >> j) & 1 for j in range(grid.dim)])
-        idx = base + offs
-        weight = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1) * m.weights
-        ok = np.all((idx >= 0) & (idx < shape), axis=1)
-        if not np.any(ok):
-            continue
-        np.add.at(hist, tuple(idx[ok].T), weight[ok])
+        for x, w in zip(m.points, m.weights):
+            pos = (x - grid.lo) / grid.widths() - 0.5
+            index, factor = [], 1.0
+            for j in range(grid.dim):
+                up = (corner >> j) & 1
+                base = math.floor(pos[j])
+                index.append(base + up)
+                factor *= pos[j] - base if up else 1.0 - (pos[j] - base)
+            if all(0 <= i < n for i, n in zip(index, grid.shape)):
+                hist[tuple(index)] += factor * w
     return hist
 
 
@@ -236,33 +237,41 @@ def _corner_loop(m, grid):
 def _binning_case(draw):
     # Dyadic bounds and widths put cell centres and edges on exact floats;
     # the width 0.3 puts them a rounding away.
-    lo = draw(st.integers(-8, 8)) * 0.5
-    width = draw(st.sampled_from([0.125, 0.5, 1.0, 0.3]))
-    cells = draw(st.integers(2, 12))
+    dim = draw(st.sampled_from([1, 2]))
+    axes = [(draw(st.integers(-8, 8)) * 0.5, draw(st.sampled_from([0.125, 0.5, 1.0, 0.3])),
+             draw(st.integers(2, 12))) for _ in range(dim)]
     kinds = st.sampled_from(["centre", "edge", "below", "above", "free"])
-    atoms = []
-    for kind in draw(st.lists(kinds, min_size=1, max_size=25)):
+
+    def coordinate(lo, width, cells):
+        kind = draw(kinds)
         if kind == "free":
-            atoms.append(draw(st.floats(lo - 2 * width, lo + (cells + 2) * width)))
-            continue
+            return draw(st.floats(lo - 2 * width, lo + (cells + 2) * width))
         j, off = draw(st.integers(0, cells)), draw(st.floats(0.0, 3.0))
-        atoms.append({"centre": lo + (j + 0.5) * width, "edge": lo + j * width,
-                      "below": lo - width - off, "above": lo + (cells + 1) * width + off}[kind])
-    weights = draw(st.lists(st.floats(0.01, 10.0), min_size=len(atoms), max_size=len(atoms)))
-    return (lo, lo + cells * width, cells), atoms, weights
+        return {"centre": lo + (j + 0.5) * width, "edge": lo + j * width,
+                "below": lo - width - off, "above": lo + (cells + 1) * width + off}[kind]
+
+    n = draw(st.integers(1, 25))
+    atoms = [[coordinate(*axis) for axis in axes] for _ in range(n)]
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 10.0),
+                            min_size=n, max_size=n).filter(any))
+    return axes, atoms, weights
 
 
 @settings(deadline=None, max_examples=300)
 @given(_binning_case())
-@example(((0.0, 1.0, 4), [0.375], [1.0]))                    # a single atom on a centre
-@example(((0.0, 1.0, 4), [0.5], [1.0]))                      # a single atom on an edge
-@example(((0.0, 1.0, 4), [-0.5, 0.125, 0.25, 0.5, 1.0, 1.5],
-          [0.1, 2.0, 0.3, 4.0, 0.5, 6.0]))                   # off both ends, unequal weights
-def test_1d_binning_adds_as_the_corner_loop(case):
-    (lo, hi, cells), atoms, weights = case
-    grid = GridSpec([lo], [hi], (cells,))
-    m = Measure.from_points(np.array(atoms)[:, None], weights)
-    assert measures._linear_binning(m, grid).tobytes() == _corner_loop(m, grid).tobytes()
+@example(([(0.0, 0.25, 4)], [[0.375]], [1.0]))                   # a single atom on a centre
+@example(([(0.0, 0.25, 4)], [[0.5]], [1.0]))                     # a single atom on an edge
+@example(([(0.0, 0.25, 4)], [[-0.5], [0.125], [0.25], [0.5], [1.0], [1.5]],
+          [0.1, 2.0, 0.0, 4.0, 0.5, 6.0]))                      # off both ends, a zero weight
+@example(([(0.0, 0.25, 4), (-1.0, 0.5, 3)], [[0.5, -0.5], [0.3, 0.25], [2.0, 0.0]],
+          [0.3, 2.0, 0.7]))                                      # on an edge in both axes
+def test_binning_adds_as_a_per_particle_loop(case):
+    axes, atoms, weights = case
+    lo, width, cells = zip(*axes)
+    grid = GridSpec(lo, np.add(lo, np.multiply(width, cells)), cells)
+    m = Measure.from_points(atoms, weights)
+    want = _per_particle_binning(m, grid)
+    assert measures._linear_binning(m, grid).tobytes() == want.tobytes()
 
 
 @st.composite
