@@ -7,10 +7,10 @@ wall-clock data enters the emitted files, all randomness flows from the
 configured seed, and distance comparisons between simulated laws share one
 grid and one bandwidth fixed from the pooled sample.
 
-Slope fits use ordinary least squares on log-log points with the smallest
-and largest abscissa dropped (endpoints carry discretization and noise-floor
-bias); exponent tolerances are fixed in the shipped configs and tests, not
-hidden in code.
+Each kind runs one fixed design, :data:`DESIGN`; a config sets the run
+(model, initial laws, times, ``sim``), not the design.  Slope fits use
+ordinary least squares on log-log points with the smallest and largest
+abscissa dropped (endpoints carry discretization and noise-floor bias).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -43,11 +42,20 @@ MEASURE_KEYS = {
 SMOKE_PARTICLES = 1000
 SMOKE_MC_PARTICLES = 10_000
 SMOKE_CELLS = 256
-SMOKE_AUDIT_SAMPLES = 200
 EMIT_ATOMS = 4096  # per-node resample size for emitted law CSVs
 COMPARISON_BINS = 64  # duhamel: solver vs Monte Carlo TV on this many merged cells
 FLOW_PARTICLES = 20_000  # duhamel: particle cap of the solved mean-field flow
-DUHAMEL_HORIZONS = (0.0625, 0.125, 0.25)  # duhamel: horizons when the options give none
+
+# The fixed design of each kind: the values its runner reads, echoed as
+# "options" in summary.json.
+DESIGN = {
+    "audit": {"n_samples": 1000},
+    "solve": {"tol": SOLVE_TOL},
+    "regularity": {},
+    "gradient": {"epsilons": (0.25, 0.5, 1.0)},
+    "stability": {"deltas": (1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1)},
+    "duhamel": {"horizons": (0.0625, 0.125, 0.25), "tv_tol": 0.05},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +161,7 @@ class ExperimentConfig:
     gamma2: Measure | None
     times: np.ndarray | None
     sim: SimConfig
-    options: dict
     smoke: bool = False
-
-    def option(self, key, default):
-        if key not in OPTIONS[self.kind]:
-            raise KeyError(f"{key!r} is not in the {self.kind} options table")
-        return self.options.get(key, default)
 
 
 def _config_relative(config_path, path) -> str:
@@ -175,24 +177,8 @@ def _numbers(value, pointer, above: float | None = None) -> list:
             for i, v in enumerate(check_list(value, pointer))]
 
 
-def _distinct(value, pointer, least: int, above: float | None = None) -> list:
-    """:func:`_numbers` with at least ``least`` values, none repeated."""
-    values = _numbers(value, pointer, above)
-    if len(set(values)) < max(least, len(values)):
-        raise ConfigError(f"needs {least} or more values, none repeated; got {values}", pointer)
-    return values
-
-
-def _within_run(values, pointer, t0: float, t1: float) -> None:
-    """Fail at the first time of ``values`` outside the run interval (t0, t1]."""
-    for i, t in enumerate(values):
-        if not t0 < t <= t1:
-            raise ConfigError(f"time {t} lies outside the run interval ({t0}, {t1}]",
-                              f"{pointer}/{i}")
-
-
 def _check_runner_inputs(cfg: ExperimentConfig) -> None:
-    """The inputs each runner needs beyond the options table, checked before it runs."""
+    """The inputs each runner needs beyond its design, checked before it runs."""
     if cfg.kind in ("regularity", "gradient") and (cfg.times is None or len(cfg.times) < 3):
         raise ConfigError(f"{cfg.kind} needs at least 3 time points", "/times")
     if cfg.kind == "gradient":
@@ -214,15 +200,11 @@ def _check_runner_inputs(cfg: ExperimentConfig) -> None:
             # The solver starts from a point; a wider Monte Carlo start would
             # report a theory failure for what is a config error.
             raise ConfigError("duhamel validation needs a Dirac initial", "/gamma1")
-        if "horizons" not in cfg.options and not (
-                cfg.sim.t0 < DUHAMEL_HORIZONS[0] and DUHAMEL_HORIZONS[-1] <= cfg.sim.t1):
-            raise ConfigError(f"the default horizons {list(DUHAMEL_HORIZONS)} do not all lie in "
-                              f"the run interval ({cfg.sim.t0}, {cfg.sim.t1}]; give horizons",
-                              "/options/horizons")
-        horizons = cfg.options.get("horizons", ())
-        _within_run(horizons, "/options/horizons", cfg.sim.t0, cfg.sim.t1)
-        if len({f"{hz:.6f}" for hz in horizons}) < len(horizons):  # 6 decimals name the CSVs
-            raise ConfigError(f"horizons alike at 6 decimals: {horizons}", "/options/horizons")
+        horizons = DESIGN["duhamel"]["horizons"]
+        if not cfg.sim.t0 < horizons[0]:
+            raise ConfigError(f"t0 must lie below the first horizon {horizons[0]}", "/sim/t0")
+        if cfg.sim.t1 < horizons[-1]:
+            raise ConfigError(f"t1 must reach the last horizon {horizons[-1]}", "/sim/t1")
 
 
 def _measure_from_spec(spec, pointer: str, config_path) -> Measure:
@@ -265,7 +247,7 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     check_object(raw, "", ("kind", "model"),
-                 ("gamma1", "gamma2", "times", "sim", "options"))
+                 ("gamma1", "gamma2", "times", "sim"))
     cfg_kind = raw["kind"]
     if cfg_kind not in KINDS:
         raise ConfigError(f"unknown kind {cfg_kind!r}; expected one of {KINDS}", "/kind")
@@ -301,9 +283,6 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
         sim_raw["seed"] = seed
     if particles is not None:
         sim_raw["n_particles"] = particles
-    options = check_object(raw.get("options", {}), "/options", (), tuple(OPTIONS[cfg_kind]))
-    for key, value in options.items():
-        OPTIONS[cfg_kind][key](value, f"/options/{key}")
     n = check_integer(sim_raw.get("n_particles", 10_000), "/sim/n_particles", 1)
     if smoke:
         n = min(n, SMOKE_PARTICLES)
@@ -318,7 +297,10 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
     if dt > t1 - t0:
         raise ConfigError(f"dt {dt} exceeds the run length t1 - t0 = {t1 - t0}", "/sim/dt")
     if times is not None:
-        _within_run(times, "/times", t0, t1)
+        for i, t in enumerate(times):
+            if not t0 < t <= t1:
+                raise ConfigError(f"time {t} lies outside the run interval ({t0}, {t1}]",
+                                  f"/times/{i}")
     sim = SimConfig(
         n_particles=n,
         dt=dt,
@@ -334,7 +316,6 @@ def parse_config(path, kind: str | None = None, seed: int | None = None,
         gamma2=gamma2,
         times=times,
         sim=sim,
-        options=dict(options),
         smoke=smoke,
     )
     _check_runner_inputs(cfg)
@@ -346,7 +327,7 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
         "kind": cfg.kind,
         "model": cfg.model_path,
         "sim": cfg.sim.to_json(),
-        "options": cfg.options,
+        "options": DESIGN[cfg.kind],
         "smoke": cfg.smoke,
     }
     if cfg.times is not None:
@@ -397,8 +378,7 @@ def _report(cfg: ExperimentConfig, assertions, series=(), **findings) -> Experim
 
 
 def run_audit(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
-    n_samples = cfg.option("n_samples", SMOKE_AUDIT_SAMPLES if cfg.smoke else 1000)
-    report = lipschitz_audit(cfg.model, n_samples=n_samples, seed=cfg.sim.seed,
+    report = lipschitz_audit(cfg.model, n_samples=DESIGN["audit"]["n_samples"], seed=cfg.sim.seed,
                              raise_on_failure=False)
     assertions = [
         Assertion("audit_passed", report.passed, 1.0 if report.passed else 0.0,
@@ -410,9 +390,8 @@ def run_audit(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
 
 
 def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
-    tol = float(cfg.option("tol", SOLVE_TOL))
     try:
-        report = solve_mvsde(cfg.model, cfg.gamma1, cfg.sim, tol=tol)
+        report = solve_mvsde(cfg.model, cfg.gamma1, cfg.sim)
     except ConvergenceError as exc:
         # Non-convergence is what this experiment measures: a failed
         # assertion (exit 2), not a runtime error (exit 1).
@@ -501,22 +480,16 @@ def run_regularity(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
 def run_gradient(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     """Smoothing estimates for Dirac initials under one frozen solution flow."""
     dxy = float(np.linalg.norm(cfg.gamma1.points[0] - cfg.gamma2.points[0]))
-    epsilons = [float(e) for e in cfg.option("epsilons", [0.25, 0.5, 1.0])]
+    epsilons = DESIGN["gradient"]["epsilons"]
 
     flow_mu = solve_mvsde(cfg.model, cfg.gamma1, cfg.sim).solution
     law1, law2 = simulate_many(cfg.model, [(flow_mu, flow_mu, cfg.gamma1, cfg.sim, cfg.times),
                                            (flow_mu, flow_mu, cfg.gamma2, cfg.sim, cfg.times)])
 
-    def w_eps(e, m1, m2):
-        if e >= 1.0:
-            return metrics.wasserstein(m1, m2, e).value
-        # One coupled resample straight to the LP budget.
-        thin1 = resample(m1, min(m1.n, 100), 13)
-        thin2 = resample(m2, min(m2.n, 100), 13)
-        return metrics.ot_lp(thin1, thin2, e).value
-
     tvs = metrics.node_distances(law1, law2, lambda a, b: shared_grid_tv(a, b, 0.0))
-    weps = {e: metrics.node_distances(law1, law2, partial(w_eps, e)) for e in epsilons}
+    weps = {e: metrics.node_distances(law1, law2,
+                                      lambda a, b, e=e: metrics.wasserstein(a, b, e).value)
+            for e in epsilons}
     rows = [(float(t), *vals) for t, *vals in zip(cfg.times, tvs, *weps.values())]
 
     assertions = []
@@ -549,8 +522,7 @@ def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     """Linear response of sup_t W_k to each driver of the stability bound."""
     k = cfg.model.constants.k
     eta = cfg.model.constants.eta
-    deltas = np.asarray(cfg.option("deltas", [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]),
-                        dtype=float)
+    deltas = np.asarray(DESIGN["stability"]["deltas"])
     sim = cfg.sim
     t0, t1 = sim.t0, sim.t1
     base_flow = solve_mvsde(cfg.model, cfg.gamma1, sim).solution
@@ -601,10 +573,10 @@ def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
 
 def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     """Duhamel grid solver against a Monte Carlo histogram at several horizons."""
-    horizons = [float(h) for h in cfg.option("horizons", DUHAMEL_HORIZONS)]
+    horizons = DESIGN["duhamel"]["horizons"]
     cells = SMOKE_CELLS if cfg.smoke else 1024
     n_mc = SMOKE_MC_PARTICLES if cfg.smoke else 100_000
-    tv_tol = float(cfg.option("tv_tol", 0.05))
+    tv_tol = DESIGN["duhamel"]["tv_tol"]
     x0 = cfg.gamma1.points[0]
     t0 = cfg.sim.t0
 
@@ -646,18 +618,6 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
                                  "max_mass_error"), tuple(rows))]
     return _report(cfg, assertions, series, mean_field=mean_field)
 
-
-# The options each runner reads, each with the check parse_config applies to
-# its value; parse_config rejects any other key.
-OPTIONS = {
-    "audit": {"n_samples": partial(check_integer, lo=1)},
-    "solve": {"tol": partial(check_number, above=0.0)},
-    "regularity": {},
-    "gradient": {"epsilons": partial(_numbers, above=0.0)},
-    "stability": {"deltas": partial(_distinct, least=2, above=0.0)},  # a slope needs 2
-    "duhamel": {"horizons": partial(_distinct, least=1),
-                "tv_tol": partial(check_number, above=0.0)},
-}
 
 RUNNERS = {
     "audit": run_audit,

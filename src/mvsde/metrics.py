@@ -29,7 +29,7 @@ METHOD_GRID = "grid_l1"
 
 LP_BUDGET = 10_000          # max n*m for the exact LP solver
 ETA_SUBSAMPLE = 100         # atoms per side after documented subsampling
-_SUBSAMPLE_SEED = 20250809  # fixed so that subsampled distances are deterministic
+_SUBSAMPLE_SEED = 13  # fixed so that subsampled distances are deterministic
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from mvsde.experiments import (
     run_gradient,
     shared_grid_tv,
 )
-from mvsde.fixed_point import SolveReport, solve_mvsde
+from mvsde.fixed_point import SOLVE_TOL, SolveReport, solve_mvsde
 from mvsde.measures import Flow, Measure
 from mvsde.sde_engine import SimConfig, simulate_frozen
 from conftest import CONFIGS
@@ -274,22 +274,22 @@ def test_run_experiment_audits_model_before_solving(tmp_path, monkeypatch, capsy
     ("solve", {"sim": {"n_particle": 100, "dt": 0.01, "t1": 0.1}}, "/sim/n_particle"),
     ("regularity", {"gamma_2": {"type": "dirac", "point": [0.1]},
                     "times": [0.02, 0.05, 0.1]}, "/gamma_2"),
-    ("duhamel", {"options": {"tv_tool": 0.1}, "sim": {"t1": 0.1}}, "/options/tv_tool"),
+    ("duhamel", {"options": {"tv_tool": 0.1}, "sim": {"t1": 0.1}}, "/options"),
     ("solve", {"gamma1": {"type": "atoms", "points": [[0.0], [1.0]], "weigths": [0.9, 0.1]}},
      "/gamma1/weigths"),
     ("solve", {"gamma1": {"type": "dirac", "point": [0.0], "points": [[1.0]]}}, "/gamma1/points"),
     ("regularity", {"gamma2": {"type": "normal", "mean": [0.0], "std": 1.0, "n": 10, "sed": 3},
                     "times": [0.02, 0.05, 0.1]}, "/gamma2/sed"),
     ("solve", {"gamma1": {"type": "csv", "path": "law.csv", "weights": [1.0]}}, "/gamma1/weights"),
-    # Option slots no caller set; each is now a constant of its runner.
-    ("regularity", {"options": {"tol": 0.05}, "times": [0.02, 0.05, 0.1]}, "/options/tol"),
-    ("gradient", {"options": {"tol": 0.05}}, "/options/tol"),
-    ("stability", {"options": {"tol": 0.05}}, "/options/tol"),
-    ("duhamel", {"options": {"tol": 1e-6}}, "/options/tol"),
-    ("duhamel", {"options": {"tol_solve": 0.05}}, "/options/tol_solve"),
-    ("duhamel", {"options": {"comparison_bins": 64}}, "/options/comparison_bins"),
-    ("duhamel", {"options": {"cells": 1024}}, "/options/cells"),
-    ("duhamel", {"options": {"mc_particles": 1000}}, "/options/mc_particles"),
+    # Former option keys: a config has no options section, so each fails there.
+    ("regularity", {"options": {"tol": 0.05}, "times": [0.02, 0.05, 0.1]}, "/options"),
+    ("gradient", {"options": {"tol": 0.05}}, "/options"),
+    ("stability", {"options": {"tol": 0.05}}, "/options"),
+    ("duhamel", {"options": {"tol": 1e-6}}, "/options"),
+    ("duhamel", {"options": {"tol_solve": 0.05}}, "/options"),
+    ("duhamel", {"options": {"comparison_bins": 64}}, "/options"),
+    ("duhamel", {"options": {"cells": 1024}}, "/options"),
+    ("duhamel", {"options": {"mc_particles": 1000}}, "/options"),
 ])
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, kind, extra, pointer):
     # A misspelt key must not fall back to a default silently.
@@ -321,7 +321,7 @@ def _brownian_config(tmp_path, kind="solve", **fields):
     ({}, ["--seed", "-1"], "/sim/seed"),
     ({}, ["--particles", "0"], "/sim/n_particles"),
     ({"sim": {"t1": "0.1"}}, [], "/sim/t1"),
-    ({"options": {"tol": "abc"}}, [], "/options/tol"),
+    ({"options": {"tol": "abc"}}, [], "/options"),  # no value under options is read
     ({"times": [0.05, "0.1"]}, [], "/times/1"),
     ({"gamma1": {"type": "dirac", "point": [True]}}, [], "/gamma1/point/0"),
     ({"model": 5}, [], "/model"),
@@ -377,6 +377,34 @@ def test_gradient_names_the_bad_second_initial(tmp_path, gamma2):
     assert err.value.pointer == "/gamma2"
 
 
+def test_gradient_takes_every_epsilon_through_wasserstein(monkeypatch):
+    # Every W_eps takes metrics.wasserstein's one solver choice, none a private LP.
+    cfg = parse_config(CONFIGS / "gradient_brownian.json", smoke=True)
+    real_wasserstein, real_ot_lp = metrics.wasserstein, metrics.ot_lp
+    exponents, inside, direct_lps = [], [], []
+
+    def wasserstein(m1, m2, p):
+        exponents.append(p)
+        inside.append(p)
+        try:
+            return real_wasserstein(m1, m2, p)
+        finally:
+            inside.pop()
+
+    def ot_lp(m1, m2, p):
+        if not inside:
+            direct_lps.append(p)
+        return real_ot_lp(m1, m2, p)
+
+    monkeypatch.setattr(metrics, "wasserstein", wasserstein)
+    monkeypatch.setattr(metrics, "ot_lp", ot_lp)
+    run_gradient(cfg)
+    n = len(cfg.times)
+    assert [e for e in exponents if e != 1.0] == [0.25] * n + [0.5] * n
+    assert exponents.count(1.0) >= n
+    assert direct_lps == []
+
+
 @pytest.mark.parametrize("fault", [False, True])
 def test_tv_horizons_catch_a_drift_dropped_on_one_side(tmp_path, monkeypatch, fault):
     # Falsifier: a Monte Carlo reference that runs without the drift the
@@ -397,13 +425,6 @@ def test_tv_horizons_catch_a_drift_dropped_on_one_side(tmp_path, monkeypatch, fa
     horizons = [a for a in assertions if a["name"].startswith("tv_horizon_")]
     assert len(horizons) == 3
     assert all(a["passed"] is not fault for a in horizons)
-
-
-def test_option_refuses_keys_outside_the_table():
-    cfg = parse_config(CONFIGS / "solve_arctan.json", smoke=True)
-    assert cfg.option("tol", 1.0) == 0.05
-    with pytest.raises(KeyError):
-        cfg.option("horizons", [0.1])
 
 
 def _gamma_config(tmp_path, gamma1):
@@ -477,7 +498,7 @@ def test_csv_spec_missing_file_exits_1(tmp_path, capsys):
 def test_ratios_below_one_catches_an_expanding_sweep(tmp_path, monkeypatch, outer_ratio, code):
     # Falsifier: a solve whose outer iteration expanded once must fail
     # ratios_below_one (exit 2) even though it converged.
-    def expanding_solve(model, gamma, sim, tol):
+    def expanding_solve(model, gamma, sim, tol=SOLVE_TOL):
         history = {"outer_distances": [0.5, 0.01], "outer_ratios": [outer_ratio],
                    "inner": [{"iterations": 2, "ratios": [0.3]}]}
         return SolveReport(solution=Flow.constant(gamma, [0.0, sim.t1]),
@@ -496,8 +517,8 @@ def test_ratios_below_one_catches_an_expanding_sweep(tmp_path, monkeypatch, oute
     assert below_one["value"] == max(outer_ratio, 0.3)
 
 
-def test_every_kind_has_one_runner_and_one_options_table():
-    assert set(experiments.OPTIONS) == set(experiments.RUNNERS)
+def test_every_kind_has_one_runner_and_one_design():
+    assert set(experiments.DESIGN) == set(experiments.RUNNERS)
 
 
 def _model_file(tmp_path, dim=1, kind="scalar"):
@@ -513,15 +534,11 @@ _TIMES = [0.02, 0.05, 0.1]
 
 
 @pytest.mark.parametrize("kind, fields, pointer", [
-    ("solve", {"options": {"tol": -1.0}}, "/options/tol"),
-    ("solve", {"options": {"tol": 0.0}}, "/options/tol"),
-    ("stability", {"gamma1": {"type": "dirac", "point": [1.0]},
-                   "options": {"deltas": [-0.01, 0.01, 0.1]}}, "/options/deltas/0"),
-    ("gradient", {"gamma2": {"type": "dirac", "point": [0.05]}, "times": _TIMES,
-                  "options": {"epsilons": [0.5, 0.0]}}, "/options/epsilons/1"),
-    ("duhamel", {"options": {"horizons": [-0.1, 0.1]}}, "/options/horizons/0"),
-    ("duhamel", {"options": {"horizons": [0.05, 0.2]}}, "/options/horizons/1"),
-    ("duhamel", {"options": {"tv_tol": -1}}, "/options/tv_tol"),
+    # Each kind runs its fixed design: a config that sets one, even to the
+    # values the runner uses, fails at /options.
+    *[(kind, {"options": design}, "/options") for kind, design in experiments.DESIGN.items()],
+    # the fixed horizons reach 0.25: this run of t1 = 0.1 solved its mean field first
+    ("duhamel", {"model": "arctan"}, "/sim/t1"),
     ("solve", {"sim": {"t1": 0.1, "dt": -0.001}}, "/sim/dt"),
     ("solve", {"sim": {"t1": 0.1, "dt": 0.2}}, "/sim/dt"),
     ("regularity", {"gamma2": {"type": "dirac", "point": [0.05]},
@@ -529,18 +546,6 @@ _TIMES = [0.02, 0.05, 0.1]
     ("regularity", {"gamma2": {"type": "dirac", "point": [0.05]}, "times": _TIMES,
                     "sim": {"t0": 0.03, "t1": 0.1}}, "/times/0"),
     ("duhamel", {"model": "diag"}, "/model"),
-    # a slope needs two distinct perturbation sizes; these ended in a traceback
-    # or a RankWarning after a full solve
-    ("stability", {"options": {"deltas": []}}, "/options/deltas"),
-    ("stability", {"options": {"deltas": [0.01]}}, "/options/deltas"),
-    ("stability", {"options": {"deltas": [0.01, 0.01]}}, "/options/deltas"),
-    # a Monte Carlo check needs a horizon, and one of each
-    ("duhamel", {"options": {"horizons": []}}, "/options/horizons"),
-    ("duhamel", {"options": {"horizons": [0.05, 0.1, 0.05]}}, "/options/horizons"),
-    # each horizon names its CSV files at six decimals; these two shared them
-    ("duhamel", {"options": {"horizons": [0.05, 0.0500001]}}, "/options/horizons"),
-    # the default horizons reach 0.25: this run of t1 = 0.1 solved its mean field first
-    ("duhamel", {"model": "arctan"}, "/options/horizons"),
 ])
 def test_cli_rejects_bad_run_values_at_parse_time(tmp_path, capsys, kind, fields, pointer):
     # Each value used to pass, or to fail late without a pointer, or to be
@@ -565,6 +570,7 @@ def test_cli_rejects_bad_run_values_at_parse_time(tmp_path, capsys, kind, fields
                   "gamma2": {"type": "dirac", "point": [0.05]}, "times": _TIMES}, "/gamma1"),
     ("duhamel", {"model": 2, "gamma1": {"type": "dirac", "point": [0.0, 0.0]}}, "/model"),
     ("duhamel", {"gamma1": {"type": "atoms", "points": [[1.0], [3.0]]}}, "/gamma1"),
+    ("duhamel", {"sim": {"t0": 0.0625, "t1": 0.25}}, "/sim/t0"),  # the first horizon
 ])
 def test_runner_inputs_fail_in_parse_config(tmp_path, kind, fields, pointer):
     if fields.get("model") == 2:
@@ -602,11 +608,10 @@ def test_regularity_runs_the_sim_it_echoes(tmp_path, monkeypatch):
 
 
 def test_duhamel_starts_at_t0(tmp_path, monkeypatch):
-    # t0 = 0.1 used to be echoed and then replaced by 0.
+    # A t0 above 0 used to be echoed and then replaced by 0.
     raw = json.loads((CONFIGS / "duhamel_arctan.json").read_text())
     raw["model"] = str(CONFIGS.parent / "models" / "arctan_drift.json")
-    raw["sim"].update(t0=0.1, t1=0.3)
-    raw["options"]["horizons"] = [0.2, 0.3]
+    raw["sim"].update(t0=0.05)
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
     cfg = parse_config(tmp_path / "cfg.json", smoke=True)
     solves, densities, sims = [], [], []
@@ -617,6 +622,7 @@ def test_duhamel_starts_at_t0(tmp_path, monkeypatch):
     [(args, _)] = solves
     assert args[2] == replace(cfg.sim, n_particles=min(cfg.sim.n_particles,
                                                        experiments.FLOW_PARTICLES))
-    assert [args[4:6] for args, _ in densities] == [(0.1, 0.2), (0.1, 0.3)]
+    runs = [(0.05, 0.0625), (0.05, 0.125), (0.05, 0.25)]
+    assert [args[4:6] for args, _ in densities] == runs
     [(args, _)] = sims
-    assert [(run[3].t0, run[3].t1) for run in args[1]] == [(0.1, 0.2), (0.1, 0.3)]
+    assert [(run[3].t0, run[3].t1) for run in args[1]] == runs
