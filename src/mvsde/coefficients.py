@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import (AuditError, ConfigError, DomainError, NumericsError, check_integer,
                      check_list, check_number, check_object, check_tagged)
-from .measures import Measure
+from .measures import WEIGHT_TOL, LawRows, Measure
 from . import metrics
 
 _SPECTRUM_SLACK = 1e-9
@@ -69,7 +69,11 @@ class Expr:
     children = ()
 
     def evaluate(self, t, points, measure):
-        """Vectorized value over ``points`` of shape (n, d); returns (n,)."""
+        """Vectorized value over ``points`` of shape (n, d); returns (n,).
+
+        ``t`` is one time, or one per row of ``points``; ``measure`` is a
+        :class:`Measure`, or a :class:`LawRows` holding one law per row.
+        """
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -90,7 +94,7 @@ class Const(Expr):
     value: float
 
     def evaluate(self, t, points, measure):
-        return np.full(points.shape[0], float(self.value))
+        return np.full(points.shape[:-1], float(self.value))
 
     def to_json(self):
         return {"op": "const", "value": self.value}
@@ -99,7 +103,7 @@ class Const(Expr):
 @dataclass(frozen=True)
 class TimeVar(Expr):
     def evaluate(self, t, points, measure):
-        return np.full(points.shape[0], float(t))
+        return np.full(points.shape[:-1], t, dtype=float)
 
     def uses_time(self):
         return True
@@ -120,7 +124,7 @@ class Coord(_StateLeaf):
     index: int
 
     def evaluate(self, t, points, measure):
-        return points[:, self.index].astype(float)
+        return points[..., self.index].astype(float)
 
     def to_json(self):
         return {"op": "coord", "index": self.index}
@@ -129,7 +133,7 @@ class Coord(_StateLeaf):
 @dataclass(frozen=True)
 class Norm(_StateLeaf):
     def evaluate(self, t, points, measure):
-        return np.linalg.norm(points, axis=1)
+        return np.linalg.norm(points, axis=-1)
 
     def to_json(self):
         return {"op": "norm"}
@@ -168,7 +172,7 @@ class LinComb(Expr):
         return tuple(n for _, n in self.terms)
 
     def evaluate(self, t, points, measure):
-        out = np.full(points.shape[0], float(self.const))
+        out = np.full(points.shape[:-1], float(self.const))
         for coef, node in self.terms:
             out = out + coef * node.evaluate(t, points, measure)
         return out
@@ -185,7 +189,11 @@ class LinComb(Expr):
 class Integral(Expr):
     """Mean-field functional mu(psi); a leaf to the walk, constant in x.
 
-    ``arg`` (psi) is a function of the integration variable only.
+    ``arg`` (psi) is a function of the integration variable only.  A
+    non-finite value raises :class:`NumericsError`; over :class:`LawRows`,
+    that row's value becomes NaN instead, which every outer map keeps, so
+    the caller's per-row finiteness check sees it.  Each row sums with
+    ``np.sum(..., axis=1)``, which gives it the bits of the 1-D sum.
     """
 
     arg: Expr
@@ -193,13 +201,16 @@ class Integral(Expr):
     def evaluate(self, t, points, measure):
         if measure is None:
             raise DomainError("integral functional evaluated without a measure")
-        vals = self.arg.evaluate(t, measure.points, None)
-        v = float(np.sum(measure.weights * vals))
-        if not math.isfinite(v):
-            raise NumericsError(
-                f"integral functional {json.dumps(self.arg.to_json())} returned a non-finite value"
-            )
-        return np.full(points.shape[0], v)
+        w = measure.weights
+        if w.ndim == 1:
+            v = float(np.sum(w * self.arg.evaluate(t, measure.points, None)))
+            if not math.isfinite(v):
+                raise NumericsError(f"integral functional {json.dumps(self.arg.to_json())} "
+                                    "returned a non-finite value")
+        else:  # one law per row, each at its row's time
+            v = np.sum(w * self.arg.evaluate(t[:, None], measure.points, None), axis=1)
+            v[~np.isfinite(v)] = np.nan
+        return np.full(points.shape[:-1], v)
 
     def uses_measure(self):
         return True
@@ -368,18 +379,32 @@ def load_model(path) -> Model:
 # Evaluation
 
 
+def _values(exprs, t, points, m) -> np.ndarray:
+    """One column per expression, one row per row of ``points``."""
+    return np.stack([e.evaluate(t, points, m) for e in exprs], axis=1)
+
+
+def _within_spectrum(lo, hi, K: float):
+    """Whether the eigenvalues [lo, hi] of sigma sigma* lie in [1/K, K] up to the slack."""
+    return (lo >= 1.0 / K - _SPECTRUM_SLACK) & (hi <= K + _SPECTRUM_SLACK)
+
+
+def _above_b_sup(norm, c: ModelConstants):
+    """Where a drift norm exceeds the declared b_sup by more than the slack."""
+    return norm > c.b_sup + _BSUP_SLACK
+
+
 def drift_batch(model: Model, t: float, points: np.ndarray, m: Measure) -> np.ndarray:
     """Drift at every row of ``points``; returns (n, d).  Checks |b| <= b_sup."""
     points = np.asarray(points, dtype=float)
-    cols = [e.evaluate(t, points, m) for e in model.drift]
-    b = np.stack(cols, axis=1)
+    b = _values(model.drift, t, points, m)
     if not np.all(np.isfinite(b)):
         raise NumericsError("drift evaluation produced non-finite values")
     # np.linalg.norm's own sum of squares; sqrt is monotone, so the max of
     # the norms is the root of the largest sum, to the bit.
     squares = np.add.reduce(b * b, axis=1)
     worst = math.sqrt(squares.max())
-    if worst > model.constants.b_sup + _BSUP_SLACK:
+    if _above_b_sup(worst, model.constants):
         i = int(np.sqrt(squares).argmax())
         raise AuditError(
             f"|b|={worst:.6g} exceeds declared b_sup={model.constants.b_sup} "
@@ -397,14 +422,12 @@ def sigma_batch(model: Model, t: float, points: np.ndarray, m: Measure) -> np.nd
     """
     points = np.asarray(points, dtype=float)
     K = model.constants.K
-    vals = np.stack(
-        [e.evaluate(t, points, m) for e in model.diffusion.exprs], axis=1
-    )
+    vals = _values(model.diffusion.exprs, t, points, m)
     if not np.all(np.isfinite(vals)):
         raise NumericsError("diffusion evaluation produced non-finite values")
     sq = vals**2
     lo, hi = float(sq.min()), float(sq.max())
-    if lo < 1.0 / K - _SPECTRUM_SLACK or hi > K + _SPECTRUM_SLACK:
+    if not _within_spectrum(lo, hi, K):
         raise AuditError(
             f"spectrum of sigma*sigma^T in [{lo:.6g}, {hi:.6g}] leaves "
             f"[1/K, K] = [{1.0 / K:.6g}, {K:.6g}] at t={t}"
@@ -427,21 +450,77 @@ class AuditReport:
     n_samples: int
     seed: int
     ratios: dict          # max observed ratio per inequality
-    ellipticity: tuple    # (min, max) eigenvalue of sigma sigma* over samples
+    ellipticity: tuple    # (min, max) eigenvalue of sigma sigma* over the samples
+                          # checked; (inf, -inf) when there were none
     b_max: float
     declared_K: float
     flags: dict
     passed: bool
     witness: dict | None = None
 
+    @property
+    def checked(self) -> int:
+        """Samples whose inequalities were checked: those before an evaluation failure."""
+        failure = (self.witness or {}).get("evaluation")
+        return self.n_samples if failure is None else failure["sample"]
+
     def to_json(self) -> dict:
-        return dict(dataclasses.asdict(self), ellipticity=list(self.ellipticity))
+        lo, hi = self.ellipticity
+        # JSON has no infinity: a range no sample reached is null.
+        return dict(dataclasses.asdict(self), ellipticity=[lo, hi] if lo <= hi else None)
 
 
-def _random_measure(rng, dim: int, n_atoms: int = 8) -> Measure:
-    pts = rng.uniform(-3.0, 3.0, size=(n_atoms, dim))
-    w = rng.uniform(0.2, 1.0, size=n_atoms)
-    return Measure.from_points(pts, w)
+_ATOMS = 8  # atoms of each drawn measure
+
+
+def _draw(rng, n: int, dim: int) -> tuple:
+    """(t, x, y, atoms, weights) of n samples, drawn by the per-sample calls in
+    their order: t, x, y, then mu1's atoms and weights, then mu2's.
+
+    ``atoms`` is (2, n, 8, dim) and ``weights`` (2, n, 8), not yet normalised.
+    """
+    t = np.empty(n)
+    x, y = np.empty((n, dim)), np.empty((n, dim))
+    atoms, weights = np.empty((2, n, _ATOMS, dim)), np.empty((2, n, _ATOMS))
+    for i in range(n):
+        t[i] = rng.uniform(0.0, 1.0)
+        x[i] = rng.normal(scale=2.0, size=dim)
+        y[i] = rng.normal(scale=2.0, size=dim)
+        for j in (0, 1):
+            atoms[j, i] = rng.uniform(-3.0, 3.0, size=(_ATOMS, dim))
+            weights[j, i] = rng.uniform(0.2, 1.0, size=_ATOMS)
+    return t, x, y, atoms, weights
+
+
+def _normalised(atoms: np.ndarray, weights: np.ndarray) -> tuple:
+    """Each law's weights divided by their sum, as :meth:`Measure.from_points`
+    does, and the samples whose two laws pass its checks and Measure's."""
+    total = weights.sum(axis=-1, keepdims=True)
+    w = weights / total
+    mass = w.sum(axis=-1)
+    ok = (np.isfinite(atoms).all(axis=(-2, -1)) & np.isfinite(weights).all(axis=-1)
+          & (total[..., 0] > 0) & (w >= 0).all(axis=-1) & (np.abs(mass - 1.0) <= WEIGHT_TOL))
+    return w, ok.all(axis=0)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, to the bit: it takes a BLAS dot of one vector,
+    which ``norm(axis=1)`` does not reproduce and ``vecdot`` does."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _replay(model: Model, i: int, t, x, y, atoms, weights) -> dict:
+    """Sample i's measures and six calls, one by one, which raise as in a
+    per-sample run; their AuditError becomes the evaluation witness."""
+    mu1, mu2 = (Measure.from_points(atoms[j, i], weights[j, i]) for j in (0, 1))
+    ti = float(t[i])
+    try:
+        for fn, pts, mu in ((sigma_batch, x, mu1), (sigma_batch, y, mu1), (sigma_batch, x, mu2),
+                            (sigma_batch, y, mu2), (drift_batch, x, mu1), (drift_batch, x, mu2)):
+            fn(model, ti, pts[i:i + 1], mu)
+    except AuditError as exc:
+        return {"sample": i, "t": ti, "x": x[i].tolist(), "error": str(exc)}
+    raise NumericsError(f"audit sample {i} failed in the one pass but not on its own")
 
 
 def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
@@ -458,73 +537,76 @@ def lipschitz_audit(model: Model, n_samples: int = 1000, seed: int = 0,
     * ``a3``:         mixed second difference of sigma sigma* over
       |x-y|^beta (W_eta + W_k)
 
-    Ellipticity and the drift bound are checked at every sample by
-    :func:`sigma_batch` and :func:`drift_batch`; a violation ends the loop as
-    the ``evaluation`` failure.  The report also records structural flags of
-    the model, read off its expression trees rather than sampled:
+    Every sample is drawn first, by the generator calls of a per-sample loop
+    in that loop's order; then all of them are checked in one pass: the
+    four sigma and two drift evaluations, W_eta, W_k and the k-variation,
+    over arrays with one row per sample.  The report equals that loop's bit
+    for bit, which ``tests/audit_reference.py`` keeps as the oracle.
+
+    Ellipticity and the drift bound are checked at every sample, as
+    :func:`sigma_batch` and :func:`drift_batch` check them; the first sample
+    that fails a check ends the audit as the ``evaluation`` failure, and
+    only the samples before it count.  That sample's calls are made again
+    one by one, so a violation carries their message and a non-finite value
+    raises their :class:`NumericsError`.  The report also records structural
+    flags of the model, read off its expression trees rather than sampled:
     ``sigma_space_free``, ``sigma_measure_free`` and ``drift_measure_free``.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
     c = model.constants
+    t, x, y, atoms, raw = _draw(np.random.default_rng(seed), n_samples, model.dim)
+    w, laws_ok = _normalised(atoms, raw)
+    mu1, mu2 = LawRows(atoms[0], w[0]), LawRows(atoms[1], w[1])
+    sig = [_values(model.diffusion.exprs, t, pts, mu) for pts, mu in ((x, mu1), (y, mu1),
+                                                                      (x, mu2), (y, mu2))]
+    drift = [_values(model.drift, t, x, mu) for mu in (mu1, mu2)]
+    bad = ~laws_ok
+    for v in sig:
+        sq = v**2
+        bad |= ~np.isfinite(v).all(axis=1) | ~_within_spectrum(sq.min(axis=1), sq.max(axis=1), c.K)
+    for b in drift:
+        bad |= ~np.isfinite(b).all(axis=1) | _above_b_sup(np.sqrt(np.add.reduce(b * b, axis=1)), c)
+    stop = int(bad.argmax()) if bad.any() else n_samples
+
+    # In the per-sample order a sample's distances come before its calls, so
+    # those of the failing sample are due too (an LP there may raise first).
+    reach = stop + 1 if stop < n_samples and laws_ok[stop] else stop
+    rows1, rows2 = (LawRows(atoms[j, :reach], w[j, :reach]) for j in (0, 1))
+    w_eta = metrics.wasserstein_rows(rows1, rows2, c.eta)[:stop]
+    # eta == k: both are one distance, computed once (as in metrics.transport).
+    w_k = w_eta if c.k == c.eta else metrics.wasserstein_rows(rows1, rows2, c.k)[:stop]
+    kvar = metrics.weighted_variation_rows(rows1, rows2, c.k)[:stop]
+    eval_failure = None if stop == n_samples else _replay(model, stop, t, x, y, atoms, raw)
+
+    s_x1, s_y1, s_x2, s_y2 = (v[:stop] for v in sig)
+    b_x1, b_x2 = (b[:stop] for b in drift)
+    eig_lo, eig_hi, b_max = math.inf, -math.inf, 0.0
+    if stop:
+        squares = np.concatenate([s_x1**2, s_y1**2, s_x2**2, s_y2**2], axis=1)
+        eig_lo, eig_hi = float(squares.min()), float(squares.max())
+        b_max = max(b_max, float(_norms(b_x1).max()), float(_norms(b_x2).max()))
+    dx = _norms(x[:stop] - y[:stop])
+    dx_beta = metrics.powers(dx, c.beta)
+    w_sum = w_eta + w_k
+    mixed = np.abs((s_x1**2 - s_y1**2) - (s_x2**2 - s_y2**2)).max(axis=1)
+    checks = (
+        ("a1_space", dx > 1e-9, np.abs(s_x1 - s_y1).max(axis=1), dx_beta),
+        ("a1_measure", w_sum > 1e-9, np.abs(s_x1 - s_x2).max(axis=1), w_sum),
+        ("a3", (dx > 1e-9) & (w_sum > 1e-9), mixed, dx_beta * w_sum),
+        ("a2", kvar + w_k > 1e-9, _norms(b_x1 - b_x2), kvar + w_k),
+    )
     ratios = {"a1_space": 0.0, "a1_measure": 0.0, "a2": 0.0, "a3": 0.0}
     witnesses = {}
-    eig_lo, eig_hi = math.inf, -math.inf
-    b_max = 0.0
-
-    def _sigma_vec(t, x, mu):
-        return sigma_batch(model, t, x.reshape(1, -1), mu)[0]
-
-    eval_failure = None
-    for i in range(n_samples):
-        t = rng.uniform(0.0, 1.0)
-        x = rng.normal(scale=2.0, size=model.dim)
-        y = rng.normal(scale=2.0, size=model.dim)
-        mu1 = _random_measure(rng, model.dim)
-        mu2 = _random_measure(rng, model.dim)
-
-        w_eta = metrics.wasserstein_eta(mu1, mu2, c.eta).value
-        # eta == k: both are one distance, computed once (as in metrics.transport).
-        w_k = w_eta if c.k == c.eta else metrics.wasserstein(mu1, mu2, c.k).value
-        kvar = metrics.weighted_variation_atoms(mu1, mu2, c.k).value
-
-        try:
-            s_x1 = _sigma_vec(t, x, mu1)
-            s_y1 = _sigma_vec(t, y, mu1)
-            s_x2 = _sigma_vec(t, x, mu2)
-            s_y2 = _sigma_vec(t, y, mu2)
-            b_x1 = drift_batch(model, t, x.reshape(1, -1), mu1)[0]
-            b_x2 = drift_batch(model, t, x.reshape(1, -1), mu2)[0]
-        except AuditError as exc:
-            # A declared-constant violation at a sample point is itself an
-            # audit failure, with the offending sample as witness.
-            eval_failure = {"sample": i, "t": t, "x": x.tolist(), "error": str(exc)}
-            break
-
-        sq = np.concatenate([s_x1**2, s_y1**2, s_x2**2, s_y2**2])
-        eig_lo = min(eig_lo, float(sq.min()))
-        eig_hi = max(eig_hi, float(sq.max()))
-        b_max = max(b_max, float(np.linalg.norm(b_x1)), float(np.linalg.norm(b_x2)))
-
-        dx = float(np.linalg.norm(x - y))
-        checks = []
-        if dx > 1e-9:
-            checks.append(("a1_space", float(np.max(np.abs(s_x1 - s_y1))), dx**c.beta))
-        if w_eta + w_k > 1e-9:
-            checks.append(("a1_measure", float(np.max(np.abs(s_x1 - s_x2))), w_eta + w_k))
-            if dx > 1e-9:
-                mixed = np.max(np.abs((s_x1**2 - s_y1**2) - (s_x2**2 - s_y2**2)))
-                checks.append(("a3", float(mixed), dx**c.beta * (w_eta + w_k)))
-        if kvar + w_k > 1e-9:
-            checks.append(("a2", float(np.linalg.norm(b_x1 - b_x2)), kvar + w_k))
-        for name, num, den in checks:
-            r = num / den
-            if r > ratios[name]:
-                ratios[name] = r
-                witnesses[name] = {
-                    "sample": i, "t": t, "x": x.tolist(), "y": y.tolist(), "ratio": r,
-                }
+    for name, valid, num, den in checks:
+        rows = np.flatnonzero(valid)
+        r = num[rows] / den[rows]
+        # A running max with > keeps the first sample of the largest ratio.
+        if r.size and r.max() > 0.0:
+            i = int(rows[r.argmax()])
+            ratios[name] = float(r.max())
+            witnesses[name] = {"sample": i, "t": float(t[i]), "x": x[i].tolist(),
+                               "y": y[i].tolist(), "ratio": ratios[name]}
 
     flags = {
         "sigma_space_free": model.sigma_space_free,

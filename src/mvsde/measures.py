@@ -175,6 +175,19 @@ class Measure:
         return cls.from_points(data[:, 1:], data[:, 0])
 
 
+class LawRows(NamedTuple):
+    """n atomic laws of m atoms each, one per row: ``points`` (n, m, d) and
+    ``weights`` (n, m).
+
+    The batch form of :class:`Measure`, for code that evaluates many small
+    laws at once.  Rows are not checked: build a row's :class:`Measure` for
+    that.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+
+
 class QuantileForm(NamedTuple):
     """A 1D measure sorted once: the input of its quantiles and 1D transport."""
 
@@ -211,8 +224,16 @@ def _sorted_form(m: Measure) -> QuantileForm:
         # differ at most in the sign of a zero, which neither a quantile nor
         # |x - y| sees.  So the default sort, ~10x faster, serves here.
         return QuantileForm(np.sort(m.points[:, 0]), *_uniform_levels(m.n, w[0]))
-    order = np.argsort(m.points[:, 0], kind="stable")
-    return QuantileForm(m.points[order, 0], *_levels(np.cumsum(w[order])))
+    x, cum = sorted_cumulative(m.points[:, 0], w)
+    return QuantileForm(x, *_levels(cum))
+
+
+def sorted_cumulative(x: np.ndarray, w: np.ndarray) -> tuple:
+    """Coordinates in stable ascending order along the last axis, and the
+    cumulative weights in that order (one law per row)."""
+    order = np.argsort(x, axis=-1, kind="stable")
+    return (np.take_along_axis(x, order, axis=-1),
+            np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1))
 
 
 @lru_cache(maxsize=8)

@@ -7,11 +7,19 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from mvsde import metrics
 from mvsde.coefficients import Model, load_model
+from mvsde.measures import LawRows
 
 REPO = Path(__file__).resolve().parent.parent
 MODELS = REPO / "models"
 CONFIGS = REPO / "configs"
+
+
+def variation(m1, m2, theta):
+    """``metrics.weighted_variation_rows`` between two measures, as one row pair."""
+    a, b = (LawRows(m.points[None], m.weights[None]) for m in (m1, m2))
+    return float(metrics.weighted_variation_rows(a, b, theta)[0])
 
 
 def _scalar_model(name, drift, sigma_expr, K, b_sup, k=1.0, eta=1.0, beta=1.0):

@@ -15,9 +15,10 @@ from mvsde.coefficients import (
     load_model,
     sigma_batch,
 )
-from mvsde.errors import AuditError, ConfigError
+from mvsde.errors import AuditError, ConfigError, NumericsError
 from mvsde.measures import Measure
-from conftest import MODELS
+from audit_reference import reference_audit
+from conftest import MODELS, variation
 
 
 def test_eval_drift_examples(brownian_model, arctan_model):
@@ -48,8 +49,7 @@ def test_drift_measure_lipschitz_bound(arctan_model):
         m2 = Measure.from_points(rng.uniform(-3, 3, (8, 1)), rng.uniform(0.2, 1, 8))
         num = abs(drift_batch(arctan_model, 0.0, [[0.0]], m1)[0, 0]
                   - drift_batch(arctan_model, 0.0, [[0.0]], m2)[0, 0])
-        den = (metrics.weighted_variation_atoms(m1, m2, 1.0).value
-               + metrics.wasserstein(m1, m2, 1.0).value)
+        den = variation(m1, m2, 1.0) + metrics.wasserstein(m1, m2, 1.0).value
         worst = max(worst, num / den)
     assert worst <= 1.0 + 1e-9
 
@@ -73,21 +73,21 @@ def test_constant_model_ratios_zero(brownian_model):
 
 
 def test_the_audit_computes_one_distance_when_eta_equals_k(brownian_model, monkeypatch):
-    exponents = []
-    real = metrics.wasserstein
-    monkeypatch.setattr(metrics, "wasserstein",
-                        lambda m1, m2, p: exponents.append(p) or real(m1, m2, p))
+    calls = []
+    real = metrics.wasserstein_rows
+    monkeypatch.setattr(metrics, "wasserstein_rows",
+                        lambda a, b, p: calls.append((p, len(a.points))) or real(a, b, p))
     lipschitz_audit(brownian_model, n_samples=20, seed=0)
-    assert exponents == [1.0] * 20
+    assert calls == [(1.0, 20)]
     half = Model.from_json({
         "name": "brownian_eta_half", "dim": 1,
         "drift": [{"op": "const", "value": 0.0}],
         "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.0}]},
         "constants": {"K": 1.5, "k": 1.0, "eta": 0.5, "beta": 1.0, "b_sup": 0.0},
     })
-    exponents.clear()
+    calls.clear()
     lipschitz_audit(half, n_samples=20, seed=0)
-    assert exponents == [0.5, 1.0] * 20
+    assert calls == [(0.5, 20), (1.0, 20)]
 
 
 def test_structural_flags(tanh_model, space_sigma_model):
@@ -167,6 +167,129 @@ def test_audit_failure_reports_witness():
     report = lipschitz_audit(understated, n_samples=50, seed=0, raise_on_failure=False)
     assert not report.passed
     assert report.witness is not None and "evaluation" in report.witness
+
+
+# ---------------------------------------------------------------------------
+# The one-pass audit against the per-sample loop it replaced
+
+
+def _outcome(audit, model, n, seed):
+    """The report's JSON bytes, or the exception's type and message."""
+    try:
+        return json.dumps(audit(model, n_samples=n, seed=seed, raise_on_failure=False).to_json())
+    except Exception as exc:  # noqa: BLE001 -- both audits must raise alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _same_as_loop(model, n, seed):
+    got = _outcome(lipschitz_audit, model, n, seed)
+    assert got == _outcome(reference_audit, model, n, seed)
+    return got
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["brownian", "arctan_drift", "tanh_diffusion",
+                                  "mixed_mean_field"])
+def test_audit_equals_the_per_sample_loop_on_shipped_models(name, seed, n):
+    assert json.loads(_same_as_loop(load_model(MODELS / f"{name}.json"), n, seed))["passed"]
+
+
+def _model(drift, sigma, dim=1, kind="scalar", **constants):
+    return Model.from_json({
+        "name": "probe", "dim": dim, "drift": drift,
+        "diffusion": {"kind": kind, "exprs": sigma},
+        "constants": {**{"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 1e12},
+                      **constants},
+    })
+
+
+def _op(op, arg):
+    return {"op": op, "arg": arg}
+
+
+def _lin(const, *terms):
+    return {"op": "lincomb", "const": const,
+            "terms": [{"coef": c, "arg": a} for c, a in terms]}
+
+
+_X0, _X1, _NORM = {"op": "coord", "index": 0}, {"op": "coord", "index": 1}, {"op": "norm"}
+
+
+def test_audit_equals_the_loop_under_hoelder_exponents():
+    # beta < 1 and k > 1 reach every power the audit takes: dx^beta, the
+    # k-variation's |y|^k and W_k's root.  Python's ** and numpy's power
+    # differ in about 5% of such draws, so each must stay Python's.  A report
+    # keeps only maxima, so short audits over many seeds expose every sample.
+    model = _model([_op("arctan", _lin(0.0, (1.0, _X0), (2.0, _op("integral", _X0))))],
+                   [_lin(1.0, (0.2, _op("tanh", _X0)), (0.1, _op("integral", _op("abs", _X0))))],
+                   k=1.7, beta=0.37)
+    for seed in range(200):
+        _same_as_loop(model, 1 + seed % 3, seed)
+
+
+def test_audit_equals_the_loop_in_two_dimensions():
+    # Every norm of one vector is a BLAS dot, which norm(axis=1) does not
+    # reproduce in about 8% of 2D draws.
+    model = _model([_op("tanh", _lin(0.0, (1.5, _X0), (1.0, _op("integral", _X1)))),
+                    _op("arctan", _lin(0.0, (1.0, _X1), (-1.0, _op("integral", _NORM))))],
+                   [_lin(1.0, (0.2, _op("tanh", _NORM))), _lin(1.0, (0.2, _op("tanh", _X1)))],
+                   dim=2, kind="diag")
+    for seed in range(100):
+        _same_as_loop(model, 1, seed)
+
+
+def test_audit_evaluation_failures_equal_the_loop():
+    spectrum_at_0 = _model([{"op": "const", "value": 0.0}], [{"op": "const", "value": 1.5}])
+    assert json.loads(_same_as_loop(spectrum_at_0, 50, 0))["witness"]["evaluation"]["sample"] == 0
+    spectrum_later = _model([{"op": "const", "value": 0.0}], [_lin(1.0, (0.6, _op("tanh", _X0)))],
+                            K=2.5)
+    later = json.loads(_same_as_loop(spectrum_later, 200, 0))["witness"]["evaluation"]
+    assert later["sample"] > 0 and "spectrum" in later["error"]
+    b_sup = _model([_X0], [{"op": "const", "value": 1.0}], b_sup=5.0)
+    late = json.loads(_same_as_loop(b_sup, 1000, 0))["witness"]["evaluation"]
+    assert late["sample"] > 0 and "b_sup" in late["error"]
+
+
+def test_audit_non_finite_integral_raises_as_the_loop():
+    # 6e307 * y overflows on atoms beyond about 2.99, so a late sample fails.
+    big = _op("integral", _lin(0.0, (6e307, _X0)))
+    model = _model([_op("tanh", big)], [{"op": "const", "value": 1.0}])
+    got = _same_as_loop(model, 1000, 0)
+    assert got.startswith("NumericsError: integral functional")
+    with pytest.raises(NumericsError, match="integral functional"):
+        lipschitz_audit(model, n_samples=1000, seed=0)
+
+
+def test_audit_ratio_failure_names_the_loop_witness():
+    steep = _model([_lin(0.0, (10.0, _op("integral", _X0)))], [{"op": "const", "value": 1.0}],
+                   b_sup=100.0)
+    report = json.loads(_same_as_loop(steep, 300, 0))
+    assert not report["passed"] and "a2" in report["witness"]
+
+
+def test_failed_audit_writes_standard_json(tmp_path, capsys):
+    # sigma^2 = 2.25 > K = 2 at the first sample: no sample is checked, so
+    # no ellipticity is reported and ratios_within_K cannot pass.
+    model = {"name": "understated", "dim": 1, "drift": [{"op": "const", "value": 0.0}],
+             "diffusion": {"kind": "scalar", "exprs": [{"op": "const", "value": 1.5}]},
+             "constants": {"K": 2.0, "k": 1.0, "eta": 1.0, "beta": 1.0, "b_sup": 0.0}}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    cfg = tmp_path / "audit.json"
+    cfg.write_text(json.dumps({"kind": "audit", "model": "model.json", "sim": {"seed": 0}}))
+    rc = cli.main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["metadata"]["audit"]["ellipticity"] is None
+    within = next(a for a in summary["assertions"] if a["name"] == "ratios_within_K")
+    assert within["passed"] is False
+    assert within["detail"] == "declared K=2.0, 0 of 1000 samples checked"
+    assert "[FAIL] ratios_within_K" in capsys.readouterr().err
 
 
 def _spec_of(model):
@@ -421,6 +544,24 @@ def test_grammar_roundtrip_flags_and_evaluation(spec):
     assert b.shape == (5, dim) and np.all(np.isfinite(b))
     assert s.shape == (5, 1 if spec["diffusion"]["kind"] == "scalar" else dim)
     assert np.all(np.isfinite(s))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_model_specs(), st.data())
+def test_audit_equals_the_loop_on_generated_models(spec, data):
+    constants = {
+        "beta": data.draw(st.floats(0.05, 1.0)),
+        # eta = k = 1 often, as in every shipped model: one distance for both.
+        "eta": data.draw(st.just(1.0) | st.floats(0.05, 1.0)),
+        "k": data.draw(st.just(1.0) | st.floats(1.0, 3.0)),
+        # A tight K or b_sup makes some samples fail their evaluation.
+        "K": data.draw(st.sampled_from([2.0, 1.15])),
+        "b_sup": data.draw(st.sampled_from([1e12, 1.0])),
+    }
+    model = Model.from_json(dict(spec, constants=constants))
+    # The LP runs for each sample in 2D and for eta < 1: few samples there.
+    n = 4 if model.dim == 2 or constants["eta"] < 1 else 60
+    _same_as_loop(model, n, data.draw(st.integers(0, 2**16)))
 
 
 def _object_pointers(value, pointer=""):

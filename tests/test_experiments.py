@@ -8,7 +8,7 @@ import pytest
 
 from mvsde import cli, experiments, metrics
 from mvsde.coefficients import Const
-from mvsde.errors import ConfigError, ConvergenceError, DomainError
+from mvsde.errors import ConfigError, ConvergenceError, DomainError, NumericsError
 from mvsde.experiments import (
     ExperimentConfig,
     config_to_json,
@@ -113,6 +113,21 @@ def test_shipped_configs_smoke(name, tmp_path):
     for s in summary["series"]:
         assert (tmp_path / s).exists()
         assert (tmp_path / f"plot_{s[len('series_'):-4]}.gp").exists()
+
+
+def test_non_finite_summary_is_a_numerics_error(tmp_path, monkeypatch, capsys):
+    # summary.json is standard JSON: NaN or infinity fails before it is written.
+    report = experiments.ExperimentReport(
+        kind="audit", model="probe", series=(), metadata={},
+        assertions=(experiments.Assertion("probe", True, float("nan"), ""),))
+    with pytest.raises(NumericsError, match="would not be standard JSON"):
+        emit_report(report, str(tmp_path / "direct"))
+    assert not (tmp_path / "direct" / "summary.json").exists()
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, outdir=None: report)
+    rc = cli.main(["audit", "--config", str(CONFIGS / "audit_mixed.json"),
+                   "--out", str(tmp_path / "cli")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: summary.json would not be standard JSON")
 
 
 def test_report_emission_reproducible(tmp_path):

@@ -9,7 +9,8 @@ from scipy.stats import norm
 from mvsde import metrics
 from mvsde.errors import DomainError, SizeError
 from mvsde.measures import Density, Flow, GridSpec, Measure
-from conftest import tv_shifted_normals
+from audit_reference import reference_variation
+from conftest import tv_shifted_normals, variation
 
 
 def _rand_measure(rng, n, d=1, scale=2.0):
@@ -187,10 +188,10 @@ def test_weighted_variation_symmetry_and_triangle():
 def test_variation_atoms_examples():
     m1 = Measure.from_points([[0.0], [1.0]])
     m2 = Measure.from_points([[0.0], [2.0]])
-    assert metrics.weighted_variation_atoms(m1, m1, 1.0).value == 0.0
-    v = metrics.weighted_variation_atoms(Measure.dirac([1.0]), Measure.dirac([-2.0]), 2.0)
-    assert v.value == pytest.approx((1 + 1.0) + (1 + 4.0), abs=1e-12)
-    assert metrics.weighted_variation_atoms(m1, m2, 1.0).value == pytest.approx(2.5, abs=1e-12)
+    assert variation(m1, m1, 1.0) == 0.0
+    v = variation(Measure.dirac([1.0]), Measure.dirac([-2.0]), 2.0)
+    assert v == pytest.approx((1 + 1.0) + (1 + 4.0), abs=1e-12)
+    assert variation(m1, m2, 1.0) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_w1_dominated_by_variation():
@@ -202,7 +203,7 @@ def test_w1_dominated_by_variation():
         m1 = _rand_measure(rng, int(rng.integers(2, 9)))
         m2 = _rand_measure(rng, int(rng.integers(2, 9)))
         w1 = metrics.wasserstein_1d(m1, m2, 1.0).value
-        var = metrics.weighted_variation_atoms(m1, m2, 1.0).value
+        var = variation(m1, m2, 1.0)
         assert w1 <= var + 1e-9
         if var > 0:
             worst = max(worst, w1 / var)
@@ -327,9 +328,11 @@ def test_weighted_variation_atoms_symmetric_and_bounded(data):
 
     m1, m2 = measure(), measure()
     theta = data.draw(st.floats(0.0, 3.0))
-    d12 = metrics.weighted_variation_atoms(m1, m2, theta).value
-    d21 = metrics.weighted_variation_atoms(m2, m1, theta).value
+    d12, d21 = variation(m1, m2, theta), variation(m2, m1, theta)
     assert d12 == pytest.approx(d21, rel=1e-12, abs=1e-15)
+    # Shared atoms merge as the per-atom table of the former dict version did.
+    assert d12 == reference_variation(m1, m2, theta)
+    assert d21 == reference_variation(m2, m1, theta)
 
     def moment(m):
         return float(np.sum(m.weights * np.linalg.norm(m.points, axis=1) ** theta))
