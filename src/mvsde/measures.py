@@ -338,7 +338,7 @@ class GridSpec:
         return np.stack([a.ravel() for a in g], axis=1)
 
     def same_as(self, other: "GridSpec", tol: float = 1e-12) -> bool:
-        return (
+        return self is other or (
             self.shape == other.shape
             and np.allclose(self.lo, other.lo, atol=tol, rtol=0)
             and np.allclose(self.hi, other.hi, atol=tol, rtol=0)
@@ -470,9 +470,10 @@ def _gaussian_filter(hist: np.ndarray, sigma_cells) -> np.ndarray:
             xp[r:r + len(x)] = x  # rows[s] below views xp[s:s + len(x)]
             rows = np.ndarray((2 * r + 1,) + x.shape, float, xp, 0, xp.strides[:1] + xp.strides)
             acc = x * w[r]
+            scratch = np.empty((min(r, 64) + 1,) + x.shape)
             for hi in range(r, 0, -64):  # 64 taps a block: 65 rows of scratch at any radius
                 lo = max(hi - 64, 0)
-                block = np.empty((hi - lo + 1,) + x.shape)
+                block = scratch[:hi - lo + 1]
                 block[0] = acc
                 np.add(rows[r - hi:r - lo], rows[r + hi:r + lo:-1], out=block[1:])
                 # einsum adds row after row, each times its weight, onto zeros: acc, then the taps.

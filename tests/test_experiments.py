@@ -23,6 +23,7 @@ from mvsde.fixed_point import SOLVE_TOL, SolveReport, solve_mvsde
 from mvsde.measures import Flow, Measure
 from mvsde.sde_engine import SimConfig, simulate_frozen
 from conftest import CONFIGS
+from stability_reference import reference_stability
 
 ALL_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.json"))
 
@@ -641,3 +642,47 @@ def test_duhamel_starts_at_t0(tmp_path, monkeypatch):
     assert [args[4:6] for args, _ in densities] == runs
     [(args, _)] = sims
     assert [(run[3].t0, run[3].t1) for run in args[1]] == runs
+
+
+@pytest.mark.parametrize("model, driver", [("arctan_drift", "diffusion_flow"),
+                                           ("tanh_diffusion", "drift_flow")])
+def test_stability_refuses_a_coefficient_that_ignores_the_measure(tmp_path, capsys, model,
+                                                                   driver):
+    # Under common random numbers that coefficient's flow driver responds
+    # with exact zeros; the run used to end in "log-log fit needs positive data".
+    raw = json.loads((CONFIGS / "stability_mixed.json").read_text())
+    raw["model"] = str(CONFIGS.parent / "models" / f"{model}.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    rc = cli.main(["stability", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out"), "--smoke"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: /model: ") and err.count("\n") == 1
+    assert f"the {driver} driver cannot respond" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stacked_stability_has_the_per_run_loop_bits(seed):
+    cfg = parse_config(CONFIGS / "stability_mixed.json", seed=seed, smoke=True)
+    got, want = experiments.run_stability(cfg), reference_stability(cfg)
+    assert [s.name for s in got.series] == [s.name for s in want.series]
+    for a, b in zip(got.series, want.series):
+        assert a.columns == b.columns
+        assert np.array(a.rows).tobytes() == np.array(b.rows).tobytes()
+    assert got.assertions == want.assertions
+    assert json.dumps(got.metadata, sort_keys=True) == json.dumps(want.metadata, sort_keys=True)
+
+
+def test_stability_draws_the_noise_once_per_delta(monkeypatch):
+    # The solve simulates through fixed_point's own binding, uncounted here.
+    cfg = parse_config(CONFIGS / "stability_mixed.json", smoke=True)
+    stacks, singles = [], []
+    _recording(monkeypatch, "simulate_many", stacks)
+    _recording(monkeypatch, "simulate_frozen", singles)
+    experiments.run_stability(cfg)
+    assert [len(args[1]) for args, _ in stacks] == [4, 3, 3, 3, 3]
+    assert singles == []
+    # One (seed, particle count) per stack: its runs read one noise stream.
+    assert all({(run[3].seed, run[3].n_particles) for run in args[1]} == {(cfg.sim.seed, 1000)}
+               for args, _ in stacks)

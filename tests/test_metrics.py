@@ -185,6 +185,35 @@ def test_weighted_variation_symmetry_and_triangle():
     assert v13 <= v12 + v23 + 1e-9
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_weighted_variation_on_one_grid_object_matches_equal_grids(data):
+    # Densities on one GridSpec object skip the grid comparison; the value
+    # must not depend on whether the grid is shared or merely equal.
+    dim = data.draw(st.sampled_from([1, 2]))
+    shape = tuple(data.draw(st.integers(2, 12)) for _ in range(dim))
+    lo = [data.draw(st.floats(-5.0, 0.0)) for _ in range(dim)]
+    hi = [a + data.draw(st.floats(0.5, 5.0)) for a in lo]
+    grid = GridSpec(lo, hi, shape)
+
+    def raw():
+        return np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=math.prod(shape),
+                                           max_size=math.prod(shape)))).reshape(shape)
+
+    def density(g, r):
+        return Density(g, r / (r.sum() * g.cell_volume()))
+
+    r1, r2 = raw(), raw()
+    theta = data.draw(st.floats(0.0, 3.0))
+    shared = metrics.weighted_variation(density(grid, r1), density(grid, r2), theta).value
+    twins = [GridSpec(grid.lo.copy(), grid.hi.copy(), shape) for _ in range(2)]
+    equal = metrics.weighted_variation(density(twins[0], r1), density(twins[1], r2), theta).value
+    assert np.float64(shared).tobytes() == np.float64(equal).tobytes()
+    d1, d2 = density(grid, r1), density(GridSpec(grid.lo, grid.hi + 0.25, shape), r2)
+    with pytest.raises(DomainError):
+        metrics.weighted_variation(d1, d2, theta)
+
+
 def test_variation_atoms_examples():
     m1 = Measure.from_points([[0.0], [1.0]])
     m2 = Measure.from_points([[0.0], [2.0]])
