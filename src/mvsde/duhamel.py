@@ -115,30 +115,17 @@ def _graded_times(s: float, t: float, nodes: int) -> np.ndarray:
 
 
 def _coefficient_tables(model: Model, mu_flow: Flow, nu_flow: Flow,
-                        centers: np.ndarray, x0: float, knot_times: np.ndarray):
-    """Drift and sigma^2 values on the centers and at x0, per knot time."""
-    zcol = centers[:, None]
-    x0row = np.array([[x0]])
-    nk = len(knot_times)
-    has_b = model.constants.b_sup > 0
-    b_cells = np.zeros((nk, len(centers)))
-    b_x0 = np.zeros(nk)
-    a_cells = np.zeros((nk, len(centers)))
-    a_x0 = np.zeros(nk)
+                        points: np.ndarray, knot_times) -> tuple:
+    """Drift and sigma^2 at the 1D ``points``, one row per knot time (drift 0 if b_sup = 0)."""
+    zcol = points[:, None]
+    b = np.zeros((len(knot_times), len(points)))
+    a = np.zeros_like(b)
     for i, u in enumerate(knot_times):
         u = float(u)
-        nu = nu_flow.at(u)
-        a_cells[i] = diffusion_matrix_batch(model, u, zcol, nu)[:, 0]
-        a_x0[i] = diffusion_matrix_batch(model, u, x0row, nu)[0, 0]
-        if has_b:
-            mu = mu_flow.at(u)
-            b_cells[i] = drift_batch(model, u, zcol, mu)[:, 0]
-            b_x0[i] = drift_batch(model, u, x0row, mu)[0, 0]
-    return b_cells, b_x0, a_cells, a_x0
-
-
-def _d1(f: np.ndarray, h: float) -> np.ndarray:
-    return np.gradient(f, h)
+        a[i] = diffusion_matrix_batch(model, u, zcol, nu_flow.at(u))[:, 0]
+        if model.constants.b_sup > 0:
+            b[i] = drift_batch(model, u, zcol, mu_flow.at(u))[:, 0]
+    return b, a
 
 
 def _d2(f: np.ndarray, h: float) -> np.ndarray:
@@ -183,9 +170,9 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
     knot_times = np.concatenate([[s], times])
 
     A = variance_profile(model, nu_flow, centers[:, None], s, times)[:, :, 0]
-    b_cells, b_x0, a_cells, a_x0 = _coefficient_tables(
-        model, mu_flow, nu_flow, centers, x0, knot_times
-    )
+    b_cells, a_cells = _coefficient_tables(model, mu_flow, nu_flow, centers, knot_times)
+    b_x0, a_x0 = (v[0, 0] for v in _coefficient_tables(model, mu_flow, nu_flow,
+                                                         np.array([x0]), [s]))
     has_drift = b_sup > 0
     has_trace = not model.sigma_space_free
 
@@ -222,13 +209,12 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
         for j in range(time_nodes):
             vals = np.zeros((j + 2, cells))  # quadrature nodes: s, times[0..j]
 
-            # Node r = s: exact Dirac initial condition.
+            # Node r = s: exact Dirac initial condition, through the kernel Q[j].
             v = A[1 + j]
-            phi0 = _phi(dev_x0, v)
             if has_drift:
-                vals[0] += b_x0[0] * (dev_x0 / v) * phi0
+                vals[0] += b_x0 * (dev_x0 / v) * Q[j]
             if has_trace:
-                vals[0] += 0.5 * (a_x0[0] - a_cells[0]) * (dev_x0**2 / v**2 - 1.0 / v) * phi0
+                vals[0] += 0.5 * (a_x0 - a_cells[0]) * (dev_x0**2 / v**2 - 1.0 / v) * Q[j]
 
             # Interior nodes: per-cell exact kernel integrals against the
             # cellwise-constant data of the previous iterate.
@@ -253,9 +239,10 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
             # Node r = tau: analytic limit of the inner integral.
             end = np.zeros(cells)
             if has_drift:
-                end += -_d1(b_cells[1 + j] * P[j], h)
+                end += -np.gradient(b_cells[1 + j] * P[j], h)
             if has_trace:
-                end += _d1(P[j], h) * _d1(a_cells[1 + j], h) + 0.5 * P[j] * _d2(a_cells[1 + j], h)
+                end += (np.gradient(P[j], h) * np.gradient(a_cells[1 + j], h)
+                        + 0.5 * P[j] * _d2(a_cells[1 + j], h))
             vals[j + 1] = end
 
             tk = np.concatenate([[s], times[: j + 1]])
@@ -315,14 +302,11 @@ def _remainder_quadrature(model, mu_flow, nu_flow, p_table, f_cells, s, t,
     has_drift = model.constants.b_sup > 0
     dev_ec = edges[None, :] - centers[:, None]   # rows: y (centers), cols: edges in z
 
-    def a_interp(r):
-        return _interp_rows(prof_times, A_full, r)
-
     g = np.zeros(u_nodes + 1)
     for mth in range(1, u_nodes + 1):
         u = mth / u_nodes
         r = t - (t - s) * u * u
-        v = a_interp(t) - a_interp(r)
+        v = _interp_rows(prof_times, A_full, t) - _interp_rows(prof_times, A_full, r)
         v = np.maximum(v, 1e-300)
         phiL = _phi(dev_ec[:, :-1], v[None, :])
         phiR = _phi(dev_ec[:, 1:], v[None, :])

@@ -136,13 +136,9 @@ def q_derivatives(cov: FrozenCovariance, x, y):
     grad = q * a^{-1}(y - x);  hess = q * (a^{-1}(y-x)(y-x)^T a^{-1} - a^{-1}).
     """
     x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    q = q_density(cov, x, y)
-    ainv = np.linalg.inv(cov.a)
-    u = ainv @ (y - x)
-    grad = q * u
-    hess = q * (np.outer(u, u) - ainv)
-    return grad, hess
+    ys = np.asarray(y, dtype=float).reshape(1, -1)
+    grad, hess = (_derivative_tensor(cov, x, ys, i)[0] for i in (1, 2))
+    return grad, hess.reshape(cov.dim, cov.dim)
 
 
 def comparison_kernel(K: float, s: float, t: float, x, y) -> float:
@@ -179,6 +175,28 @@ def _derivative_tensor(cov: FrozenCovariance, x: np.ndarray, ys: np.ndarray, i: 
     return (q[:, None, None] * outer).reshape(ys.shape[0], -1)
 
 
+def _kernel_quadrature(covs, i: int, eps: float, cells: int | None) -> float:
+    """Grid quadrature of integral |grad^i q_1(x, y) [- grad^i q_2(x, y)]| |y - x|^eps dy.
+
+    One kernel, or the difference of two frozen at one x = z, on the widest's
+    window (the first on ties); each kernel's mass on it must reach 1 - 1e-8.
+    """
+    if i not in (0, 1, 2):
+        raise DomainError("derivative order i must be 0, 1, or 2")
+    if eps < 0:
+        raise DomainError("eps must be nonnegative")
+    x = covs[0].z
+    ys, vol = _quad_grid(max(covs, key=lambda c: np.linalg.eigvalsh(c.a).max()), x, cells)
+    for cov in covs:
+        mass = float(np.sum(q_values(cov, x, ys)) * vol)
+        if mass < MASS_COVERAGE:
+            raise QuadratureError(f"quadrature window captured mass {mass}, need {MASS_COVERAGE}")
+    tensors = [_derivative_tensor(cov, x, ys, i) for cov in covs]
+    mag = np.linalg.norm(tensors[0] if len(tensors) == 1 else tensors[0] - tensors[1], axis=1)
+    r = np.linalg.norm(ys - x, axis=1)
+    return float(np.sum(mag * r**eps) * vol)
+
+
 def moment_integral_g1(cov: FrozenCovariance, i: int, eps: float,
                        cells: int | None = None) -> float:
     """Grid quadrature of integral |grad^i q(x, y)| |y - x|^eps dy.
@@ -187,18 +205,7 @@ def moment_integral_g1(cov: FrozenCovariance, i: int, eps: float,
     quadrature window spans ±8 standard deviations per axis and the kernel
     mass on the window must reach 1 - 1e-8.
     """
-    if i not in (0, 1, 2):
-        raise DomainError("derivative order i must be 0, 1, or 2")
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
-    x = cov.z.copy()
-    ys, vol = _quad_grid(cov, x, cells)
-    mass = float(np.sum(q_values(cov, x, ys)) * vol)
-    if mass < MASS_COVERAGE:
-        raise QuadratureError(f"quadrature window captured mass {mass}, need {MASS_COVERAGE}")
-    mag = np.linalg.norm(_derivative_tensor(cov, x, ys, i), axis=1)
-    r = np.linalg.norm(ys - x, axis=1)
-    return float(np.sum(mag * r**eps) * vol)
+    return _kernel_quadrature([cov], i, eps, cells)
 
 
 def exponent_scan(i: int, eps: float, horizons, csv_path=None):
@@ -233,23 +240,7 @@ def perturbation_integral_g2(model: Model, flow1: Flow, flow2: Flow, z,
     against the time average over [s, t] of W_k + W_eta between the two flows
     (:func:`mvsde.metrics.transport` at each node).
     """
-    if i not in (0, 1, 2):
-        raise DomainError("derivative order i must be 0, 1, or 2")
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
     if not flow1.same_grid(flow2):
         raise DomainError("flows must share one time grid")
-    cov1 = frozen_covariance(model, flow1, z, s, t)
-    cov2 = frozen_covariance(model, flow2, z, s, t)
-    wide = cov1 if np.linalg.eigvalsh(cov1.a).max() >= np.linalg.eigvalsh(cov2.a).max() else cov2
-    x = np.asarray(z, dtype=float).ravel()
-    ys, vol = _quad_grid(wide, x, cells)
-    for cov in (cov1, cov2):
-        mass = float(np.sum(q_values(cov, x, ys)) * vol)
-        if mass < MASS_COVERAGE:
-            raise QuadratureError(f"quadrature window captured mass {mass}, need {MASS_COVERAGE}")
-    t1 = _derivative_tensor(cov1, x, ys, i)
-    t2 = _derivative_tensor(cov2, x, ys, i)
-    mag = np.linalg.norm(t1 - t2, axis=1)
-    r = np.linalg.norm(ys - x, axis=1)
-    return float(np.sum(mag * r**eps) * vol)
+    covs = [frozen_covariance(model, flow, z, s, t) for flow in (flow1, flow2)]
+    return _kernel_quadrature(covs, i, eps, cells)

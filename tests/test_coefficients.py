@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde import cli, metrics
+from mvsde import cli, coefficients, metrics
 from mvsde.coefficients import (
     Model,
     drift_batch,
@@ -562,6 +562,20 @@ def test_audit_equals_the_loop_on_generated_models(spec, data):
     # The LP runs for each sample in 2D and for eta < 1: few samples there.
     n = 4 if model.dim == 2 or constants["eta"] < 1 else 60
     _same_as_loop(model, n, data.draw(st.integers(0, 2**16)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.sampled_from([1, 2]))
+def test_every_law_the_audit_draws_is_a_valid_measure(seed, n, dim):
+    # The audit normalises its drawn weights in one line and checks no law:
+    # each must pass Measure.from_points' checks and get the same weights.
+    _, _, _, atoms, raw = coefficients._draw(np.random.default_rng(seed), n, dim)
+    w = raw / raw.sum(axis=-1, keepdims=True)
+    for j in (0, 1):
+        for i in range(n):
+            m = Measure.from_points(atoms[j, i], raw[j, i])
+            assert m.points.tobytes() == atoms[j, i].tobytes()
+            assert m.weights.tobytes() == w[j, i].tobytes()
 
 
 def _object_pointers(value, pointer=""):

@@ -230,8 +230,9 @@ def _fftconvolve_density(model, flow, x0, s, t, cells, tol=1e-6, time_nodes=28):
     centers = x_lo + (np.arange(cells) + 0.5) * h
     times = duhamel._graded_times(s, t, time_nodes)
     A = variance_profile(model, flow, centers[:, None], s, times)[:, :, 0]
-    b_cells, b_x0, _, _ = duhamel._coefficient_tables(model, flow, flow, centers, x0,
-                                                      np.concatenate([[s], times]))
+    b_cells, _ = duhamel._coefficient_tables(model, flow, flow, centers,
+                                             np.concatenate([[s], times]))
+    (b_x0,), _ = duhamel._coefficient_tables(model, flow, flow, np.array([x0]), [s])
     dev = centers - x0
     Q = np.stack([duhamel._phi(dev, A[1 + j]) for j in range(time_nodes)])
     offsets = np.arange(-(cells - 1), cells) * h
@@ -246,7 +247,7 @@ def _fftconvolve_density(model, flow, x0, s, t, cells, tol=1e-6, time_nodes=28):
                 gker = duhamel._phi(offsets - 0.5 * h, vs) - duhamel._phi(offsets + 0.5 * h, vs)
                 conv = fftconvolve(P[l] * b_cells[1 + l], gker, mode="full")
                 vals[1 + l] = conv[cells - 1: 2 * cells - 1]
-            vals[j + 1] = -duhamel._d1(b_cells[1 + j] * P[j], h)
+            vals[j + 1] = -np.gradient(b_cells[1 + j] * P[j], h)
             newP[j] = Q[j] + np.trapezoid(vals, np.concatenate([[s], times[: j + 1]]), axis=0)
         done = float(np.max(np.abs(newP - P))) < tol
         P = newP

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvsde import cli, experiments, metrics
+from mvsde import cli, experiments, metrics, sde_engine
 from mvsde.coefficients import Const
 from mvsde.errors import ConfigError, ConvergenceError, DomainError, NumericsError
 from mvsde.experiments import (
@@ -165,7 +165,7 @@ def test_cli_exit_codes(tmp_path):
     assert rc == 2
 
 
-def test_regularity_identical_initials_at_noise_floor(tmp_path):
+def _identical_initials(tmp_path):
     p = tmp_path / "same.json"
     p.write_text(json.dumps({
         "kind": "regularity",
@@ -175,11 +175,35 @@ def test_regularity_identical_initials_at_noise_floor(tmp_path):
         "times": [0.01, 0.02, 0.04, 0.08],
         "sim": {"n_particles": 2000, "dt": 0.001, "seed": 5},
     }))
-    cfg = parse_config(p)
+    return parse_config(p)
+
+
+def test_regularity_identical_initials_at_noise_floor(tmp_path):
+    cfg = _identical_initials(tmp_path)
     report = run_experiment(cfg)
     assert report.passed
     names = [a.name for a in report.assertions]
     assert names == ["distances_at_noise_floor"]  # slope fits skipped
+    # The floor run, stacked beside the law pair, has the bits of its own run.
+    flow = solve_mvsde(cfg.model, cfg.gamma1, cfg.sim).solution
+    law1, law_b = (simulate_frozen(cfg.model, flow, flow, cfg.gamma1, sim, cfg.times)
+                   for sim in (cfg.sim, replace(cfg.sim, seed=cfg.sim.seed + 1)))
+    floor = max(shared_grid_tv(law1.measures[-1], law_b.measures[-1], 0.0), 1e-12)
+    assert report.metadata["noise_floor"] == floor
+
+
+def test_noise_floor_assertion_fails_when_the_second_law_starts_elsewhere(tmp_path,
+                                                                           monkeypatch):
+    real = experiments.simulate_many
+
+    def shifted(model, runs):
+        mu, nu, init, sim, times = runs[1]
+        return real(model, [runs[0], (mu, nu, init.shift([0.3]), sim, times), *runs[2:]])
+
+    monkeypatch.setattr(experiments, "simulate_many", shifted)
+    report = run_experiment(_identical_initials(tmp_path))
+    assert [a.name for a in report.assertions] == ["distances_at_noise_floor"]
+    assert report.passed is False
 
 
 def test_gradient_identical_diracs_zero_distances(tmp_path):
@@ -596,14 +620,14 @@ def test_runner_inputs_fail_in_parse_config(tmp_path, kind, fields, pointer):
     assert err.value.pointer == pointer
 
 
-def _recording(monkeypatch, name, calls):
-    real = getattr(experiments, name)
+def _recording(monkeypatch, name, calls, module=experiments):
+    real = getattr(module, name)
 
     def record(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, name, record)
+    monkeypatch.setattr(module, name, record)
 
 
 def test_regularity_runs_the_sim_it_echoes(tmp_path, monkeypatch):
@@ -679,10 +703,10 @@ def test_stability_draws_the_noise_once_per_delta(monkeypatch):
     cfg = parse_config(CONFIGS / "stability_mixed.json", smoke=True)
     stacks, singles = [], []
     _recording(monkeypatch, "simulate_many", stacks)
-    _recording(monkeypatch, "simulate_frozen", singles)
+    _recording(monkeypatch, "simulate_frozen", singles, module=sde_engine)
     experiments.run_stability(cfg)
     assert [len(args[1]) for args, _ in stacks] == [4, 3, 3, 3, 3]
-    assert singles == []
+    assert singles == [] and not hasattr(experiments, "simulate_frozen")
     # One (seed, particle count) per stack: its runs read one noise stream.
     assert all({(run[3].seed, run[3].n_particles) for run in args[1]} == {(cfg.sim.seed, 1000)}
                for args, _ in stacks)
