@@ -383,6 +383,14 @@ def _sup_wk(flow1: Flow, flow2: Flow, k: float) -> float:
                                       lambda a, b: metrics.wasserstein(a, b, k).value))
 
 
+def _law_flow(cfg: ExperimentConfig, gamma: Measure, sim: SimConfig) -> Flow:
+    """The flow a run from ``gamma`` steps under: the solved fixed point, or,
+    when no coefficient reads the measure, the initial law held constant."""
+    if cfg.model.drift_measure_free and cfg.model.sigma_measure_free:
+        return Flow.constant(gamma, [sim.t0])
+    return solve_mvsde(cfg.model, gamma, sim).solution
+
+
 def _report(cfg: ExperimentConfig, assertions, series=(), **findings) -> ExperimentReport:
     """The report of one run of ``cfg``: its findings beside the config echo."""
     return ExperimentReport(kind=cfg.kind, model=cfg.model.name, assertions=tuple(assertions),
@@ -449,8 +457,8 @@ def run_regularity(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     k = cfg.model.constants.k
     sim = cfg.sim
 
-    flow_mu1 = solve_mvsde(cfg.model, gamma1, sim).solution
-    flow_mu2 = flow_mu1 if gamma2 is gamma1 else solve_mvsde(cfg.model, gamma2, sim).solution
+    flow_mu1 = _law_flow(cfg, gamma1, sim)
+    flow_mu2 = flow_mu1 if gamma2 is gamma1 else _law_flow(cfg, gamma2, sim)
     w0 = metrics.wasserstein(gamma1, gamma2, k).value
     runs = [(flow_mu1, flow_mu1, gamma1, sim, cfg.times),
             (flow_mu2, flow_mu2, gamma2, sim, cfg.times)]
@@ -502,7 +510,7 @@ def run_gradient(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     dxy = float(np.linalg.norm(cfg.gamma1.points[0] - cfg.gamma2.points[0]))
     epsilons = DESIGN["gradient"]["epsilons"]
 
-    flow_mu = solve_mvsde(cfg.model, cfg.gamma1, cfg.sim).solution
+    flow_mu = _law_flow(cfg, cfg.gamma1, cfg.sim)
     law1, law2 = simulate_many(cfg.model, [(flow_mu, flow_mu, cfg.gamma1, cfg.sim, cfg.times),
                                            (flow_mu, flow_mu, cfg.gamma2, cfg.sim, cfg.times)])
 
@@ -551,7 +559,7 @@ def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     deltas = np.asarray(DESIGN["stability"]["deltas"])
     sim = cfg.sim
     t0, t1 = sim.t0, sim.t1
-    base_flow = solve_mvsde(cfg.model, cfg.gamma1, sim).solution
+    base_flow = _law_flow(cfg, cfg.gamma1, sim)
     nodes = base_flow.times
     e1 = np.zeros(cfg.model.dim)
     e1[0] = 1.0
@@ -607,12 +615,8 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
     x0 = cfg.gamma1.points[0]
     t0 = cfg.sim.t0
 
-    mean_field = not (cfg.model.drift_measure_free and cfg.model.sigma_measure_free)
-    if mean_field:
-        flow_sim = replace(cfg.sim, n_particles=min(cfg.sim.n_particles, FLOW_PARTICLES))
-        flows = solve_mvsde(cfg.model, cfg.gamma1, flow_sim).solution
-    else:
-        flows = Flow.constant(cfg.gamma1, np.array([t0]))
+    flows = _law_flow(cfg, cfg.gamma1, replace(
+        cfg.sim, n_particles=min(cfg.sim.n_particles, FLOW_PARTICLES)))
 
     grids = [solve_density(cfg.model, flows, flows, x0, t0, hz, cells=cells) for hz in horizons]
     # One stack: the horizons read one noise block per step.
@@ -643,6 +647,7 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
             grid.residuals_csv(os.path.join(outdir, f"residuals_t{hz:.6f}.csv"))
     series = [Series("duhamel", ("horizon", "tv", "iterations", "last_residual",
                                  "max_mass_error"), tuple(rows))]
+    mean_field = not (cfg.model.drift_measure_free and cfg.model.sigma_measure_free)
     return _report(cfg, assertions, series, mean_field=mean_field)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from dataclasses import replace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mvsde import cli, experiments, metrics, sde_engine
-from mvsde.coefficients import Const
+from mvsde.coefficients import Const, Model
 from mvsde.errors import ConfigError, ConvergenceError, DomainError, NumericsError
 from mvsde.experiments import (
     ExperimentConfig,
@@ -22,7 +23,7 @@ from mvsde.experiments import (
 from mvsde.fixed_point import SOLVE_TOL, SolveReport, solve_mvsde
 from mvsde.measures import Flow, Measure
 from mvsde.sde_engine import SimConfig, simulate_frozen
-from conftest import CONFIGS
+from conftest import CONFIGS, MODELS
 from stability_reference import reference_stability
 
 ALL_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.json"))
@@ -637,14 +638,108 @@ def test_regularity_runs_the_sim_it_echoes(tmp_path, monkeypatch):
                             times=_TIMES, sim={"n_particles": 500, "dt": 0.01, "t1": 0.2,
                                                "seed": 3})
     cfg = parse_config(path)
-    solves, sims = [], []
-    _recording(monkeypatch, "solve_mvsde", solves)
+    sims = []
     _recording(monkeypatch, "simulate_many", sims)
     report = run_experiment(cfg)
     assert report.metadata["config"]["sim"] == cfg.sim.to_json()
     assert cfg.sim.t1 == 0.2
-    assert [args[2] for args, _ in solves] == [cfg.sim, cfg.sim]
     assert [run[3] for args, _ in sims for run in args[1]] == [cfg.sim, cfg.sim]
+
+
+@pytest.mark.parametrize("gamma2", [None, {"type": "dirac", "point": [0.05]}])
+def test_regularity_solves_a_model_that_reads_the_measure(tmp_path, monkeypatch, gamma2):
+    # Falsifier of the measure-free rule below: arctan's drift reads the
+    # measure, so each distinct initial law gets its own solve with the run's sim.
+    fields = {"gamma2": gamma2} if gamma2 else {}
+    path = _brownian_config(tmp_path, "regularity", model=str(MODELS / "arctan_drift.json"),
+                            times=_TIMES, sim={"n_particles": 500, "dt": 0.01, "t1": 0.2,
+                                               "seed": 3}, **fields)
+    cfg = parse_config(path)
+    solves = []
+    _recording(monkeypatch, "solve_mvsde", solves)
+    run_experiment(cfg)
+    initials = [cfg.gamma1, cfg.gamma2] if gamma2 else [cfg.gamma1]
+    assert len(solves) == len(initials)
+    for (args, _), gamma in zip(solves, initials):
+        assert args[1] is gamma and args[2] == cfg.sim
+
+
+def _tree(outdir):
+    return {str(p.relative_to(outdir)): p.read_bytes()
+            for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("name", ["regularity_brownian", "gradient_brownian"])
+def test_a_measure_free_model_runs_under_its_initial_law(tmp_path, monkeypatch, name):
+    # No coefficient of brownian reads the measure, so no simulation reads
+    # the law flow: the run skips the solve and writes the bytes of a run
+    # forced through it.
+    config = CONFIGS / f"{name}.json"
+    kind = json.loads(config.read_text())["kind"]
+    solves = []
+    _recording(monkeypatch, "solve_mvsde", solves)
+
+    def run(out):
+        assert cli.main([kind, "--config", str(config), "--out", str(out), "--smoke"]) == 0
+        return _tree(out)
+
+    free = run(tmp_path / "free")
+    assert solves == []
+    monkeypatch.setattr(Model, "drift_measure_free", False)
+    monkeypatch.setattr(Model, "sigma_measure_free", False)
+    assert run(tmp_path / "solved") == free
+    assert len(solves) == (2 if kind == "regularity" else 1)
+
+
+def _no_diffusion(monkeypatch):
+    sigma = sde_engine.sigma_batch
+    monkeypatch.setattr(sde_engine, "sigma_batch", lambda *args: 0.0 * sigma(*args))
+
+
+def _drift_on_one_side(monkeypatch):
+    # The second law moves at unit speed, the first does not.
+    simulate = experiments.simulate_many
+
+    def drifting(model, runs):
+        law1, law2, *rest = simulate(model, runs)
+        moved = tuple(m.shift([t]) for t, m in zip(law2.times, law2.measures))
+        return [law1, Flow(law2.times, moved), *rest]
+
+    monkeypatch.setattr(experiments, "simulate_many", drifting)
+
+
+def _noise_by_elapsed_time(monkeypatch):
+    # Each increment scaled by the square root of the time reached, not of
+    # the step: the variance grows like t^2 and TV falls like 1/t.
+    update = sde_engine._Run.update
+
+    def faulty(self, step, z):
+        h = self.grid[step + 1] - self.grid[step]
+        return update(self, step, z * math.sqrt(self.grid[step + 1] / h))
+
+    monkeypatch.setattr(sde_engine._Run, "update", faulty)
+
+
+@pytest.mark.parametrize("fault, name", [(_no_diffusion, "tv_envelope"),
+                                         (_drift_on_one_side, "wk_ratio_stable"),
+                                         (_noise_by_elapsed_time, "tv_slope_floor")])
+def test_each_regularity_assertion_catches_a_fault(monkeypatch, fault, name):
+    cfg = parse_config(CONFIGS / "regularity_brownian.json", smoke=True)
+    clean = {a.name: a.passed for a in run_experiment(cfg).assertions}
+    fault(monkeypatch)
+    faulty = {a.name: a.passed for a in run_experiment(cfg).assertions}
+    assert clean[name] and not faulty[name]
+
+
+def test_duhamel_runs_a_measure_free_model_under_its_initial_law(tmp_path, monkeypatch):
+    raw = json.loads((CONFIGS / "duhamel_arctan.json").read_text())
+    raw["model"] = str(MODELS / "brownian.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    solves = []
+    _recording(monkeypatch, "solve_mvsde", solves)
+    report = run_experiment(parse_config(tmp_path / "cfg.json", smoke=True))
+    assert solves == []
+    assert report.metadata["mean_field"] is False
 
 
 def test_duhamel_starts_at_t0(tmp_path, monkeypatch):
