@@ -136,6 +136,14 @@ def _d2(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def density_grid(model: Model, x0: float, s: float, t: float, cells: int) -> GridSpec:
+    """The solver's grid from x0 at time s to time t: ``cells`` cells centred
+    on x0, reaching 8 diffusion standard deviations plus the largest drift
+    displacement to each side."""
+    half = 8.0 * math.sqrt(model.constants.K * (t - s)) + model.constants.b_sup * (t - s)
+    return GridSpec([x0 - half], [x0 + half], (cells,))
+
+
 def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: float,
                   tol: float = 1e-6, cells: int = 1024,
                   time_nodes: int = 28) -> DuhamelGrid:
@@ -156,8 +164,7 @@ def solve_density(model: Model, mu_flow: Flow, nu_flow: Flow, x0, s: float, t: f
     K = model.constants.K
     b_sup = model.constants.b_sup
 
-    half = 8.0 * math.sqrt(K * (t - s)) + b_sup * (t - s)
-    grid = GridSpec([x0 - half], [x0 + half], (cells,))
+    grid = density_grid(model, x0, s, t, cells)
     h = grid.cell_volume()  # the cell width
     if t - s < 4.0 * K * h * h:
         raise DomainError(

@@ -18,13 +18,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import metrics
 from .coefficients import Model, lipschitz_audit, load_model
-from .duhamel import solve_density
+from .duhamel import density_grid, solve_density
 from .errors import (ConfigError, ConvergenceError, DomainError, NumericsError, check_integer,
                      check_list, check_number, check_object, check_string, check_tagged)
 from .fixed_point import SOLVE_TOL, solve_mvsde
@@ -391,11 +395,96 @@ def _law_flow(cfg: ExperimentConfig, gamma: Measure, sim: SimConfig) -> Flow:
     return solve_mvsde(cfg.model, gamma, sim).solution
 
 
+def _law_run(cfg: ExperimentConfig, gamma: Measure) -> Flow:
+    """The law at ``cfg.times`` of a run from ``gamma`` under its own law flow."""
+    flow = _law_flow(cfg, gamma, cfg.sim)
+    [law] = simulate_many(cfg.model, [(flow, flow, gamma, cfg.sim, cfg.times)])
+    return law
+
+
 def _report(cfg: ExperimentConfig, assertions, series=(), **findings) -> ExperimentReport:
     """The report of one run of ``cfg``: its findings beside the config echo."""
     return ExperimentReport(kind=cfg.kind, model=cfg.model.name, assertions=tuple(assertions),
                             series=tuple(series),
                             metadata={"config": config_to_json(cfg), **findings})
+
+
+# ---------------------------------------------------------------------------
+# The second core
+
+
+def _spare_core() -> bool:
+    """True when a forked child can run beside this process: ``os.fork``
+    exists, the affinity mask holds at least 2 CPUs, and no other thread is
+    alive (the child would start with the forking thread alone, and a lock
+    another thread held would stay held).  Every simulation call joins its
+    noise threads before it returns, so this holds between simulations."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+@contextmanager
+def _forked(fn):
+    """Compute ``fn()`` in a forked child while the block runs; yields a
+    function that waits for the child and returns its result, or raises its
+    exception.
+
+    Under common random numbers each half of a runner is a pure function of
+    its inputs, so the child computes the bits ``fn()`` computes in-process.
+    Without a spare core (:func:`_spare_core`) the yielded function is
+    ``fn`` itself, called where the result is needed.  The result crosses a
+    pipe pickled, so ``fn`` should return floats, counts or one recorded
+    law, not a solved flow or a Monte Carlo sample.  The child is reaped
+    before the block exits; if the block raises before waiting, the child
+    is killed first.
+    """
+    if not _spare_core():
+        yield fn
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: it never returns into the caller's code
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, fn()), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:  # sent to the parent, which re-raises it
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        finally:
+            os._exit(status)  # no stdio flush, no atexit hooks
+    os.close(write_fd)
+    reaped = False
+
+    def wait():
+        nonlocal reaped
+        result = None
+        try:
+            with os.fdopen(read_fd, "rb") as fh:
+                result = pickle.load(fh)
+        except (EOFError, pickle.UnpicklingError):
+            pass  # reported below with the child's wait status
+        finally:
+            _, status = os.waitpid(pid, 0)
+            reaped = True
+        if result is None:
+            raise ChildProcessError(f"forked child {pid} ended with wait status {status} "
+                                    "and no result")
+        ok, value = result
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield wait
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +533,17 @@ def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     if outdir is not None:
         laws_dir = os.path.join(outdir, "laws")
         os.makedirs(laws_dir, exist_ok=True)
-        for i, (t, m) in enumerate(zip(report.solution.times, report.solution.measures)):
-            thin = resample(m, min(EMIT_ATOMS, m.n), cfg.sim.seed) if m.n > EMIT_ATOMS else m
-            thin.to_csv(os.path.join(laws_dir, f"node_{i:03d}_t{t:.6f}.csv"))
+        nodes = list(enumerate(zip(report.solution.times, report.solution.measures)))
+
+        def emit(part):
+            for i, (t, m) in part:
+                thin = resample(m, min(EMIT_ATOMS, m.n), cfg.sim.seed) if m.n > EMIT_ATOMS else m
+                thin.to_csv(os.path.join(laws_dir, f"node_{i:03d}_t{t:.6f}.csv"))
+
+        # The child writes every other law.
+        with _forked(lambda: emit(nodes[1::2])) as child:
+            emit(nodes[::2])
+            child()
     return _report(cfg, assertions, series, solve=report.to_json())
 
 
@@ -457,15 +554,20 @@ def run_regularity(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     k = cfg.model.constants.k
     sim = cfg.sim
 
-    flow_mu1 = _law_flow(cfg, gamma1, sim)
-    flow_mu2 = flow_mu1 if gamma2 is gamma1 else _law_flow(cfg, gamma2, sim)
     w0 = metrics.wasserstein(gamma1, gamma2, k).value
-    runs = [(flow_mu1, flow_mu1, gamma1, sim, cfg.times),
-            (flow_mu2, flow_mu2, gamma2, sim, cfg.times)]
-    if w0 == 0.0:
+    if w0 > 0.0:
+        # Each law is its own solve and run; the child computes the second.
+        with _forked(lambda: _law_run(cfg, gamma2)) as second:
+            law1 = _law_run(cfg, gamma1)
+            law2 = second()
+    else:
         # Identical initials: a run on the next seed measures the noise floor.
-        runs.append((flow_mu1, flow_mu1, gamma1, replace(sim, seed=sim.seed + 1), cfg.times))
-    law1, law2, *law_b = simulate_many(cfg.model, runs)
+        flow_mu1 = _law_flow(cfg, gamma1, sim)
+        flow_mu2 = flow_mu1 if gamma2 is gamma1 else _law_flow(cfg, gamma2, sim)
+        law1, law2, law_b = simulate_many(cfg.model, [
+            (flow_mu1, flow_mu1, gamma1, sim, cfg.times),
+            (flow_mu2, flow_mu2, gamma2, sim, cfg.times),
+            (flow_mu1, flow_mu1, gamma1, replace(sim, seed=sim.seed + 1), cfg.times)])
 
     tvs = np.array(metrics.node_distances(law1, law2, lambda a, b: shared_grid_tv(a, b, 0.0)))
     wks = np.array(metrics.node_distances(law1, law2,
@@ -476,7 +578,7 @@ def run_regularity(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     assertions = []
     findings = {"w0": w0}
     if w0 == 0.0:
-        floor = max(shared_grid_tv(law1.measures[-1], law_b[0].measures[-1], 0.0), 1e-12)
+        floor = max(shared_grid_tv(law1.measures[-1], law_b.measures[-1], 0.0), 1e-12)
         assertions.append(Assertion(
             "distances_at_noise_floor", bool(np.all(tvs <= 3.0 * floor)),
             float(tvs.max()), f"3x decoupled floor {3 * floor:.3g}; slope fit skipped"))
@@ -552,11 +654,12 @@ def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     Each delta's three perturbed runs (initial law, diffusion flow, drift
     flow) step in one stack on one noise stream, the first delta's with the
     unperturbed run beside them; the diffusion and drift drivers read one
-    shifted flow.
+    shifted flow.  After the first delta, a forked child computes the last
+    half of the others (see :func:`_forked`).
     """
     k = cfg.model.constants.k
     eta = cfg.model.constants.eta
-    deltas = np.asarray(DESIGN["stability"]["deltas"])
+    deltas = DESIGN["stability"]["deltas"]
     sim = cfg.sim
     t0, t1 = sim.t0, sim.t1
     base_flow = _law_flow(cfg, cfg.gamma1, sim)
@@ -564,10 +667,9 @@ def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     e1 = np.zeros(cfg.model.dim)
     e1[0] = 1.0
 
-    law_base = None
-    responses = {name: [] for name in STABILITY_DRIVERS}
-    driver_vals = {name: [] for name in STABILITY_DRIVERS}
-    for d in deltas.tolist():
+    def delta_rows(d, law_base=None):
+        """(law_base, each driver's (response, driver value)) at size d; without
+        ``law_base`` the unperturbed run steps beside the perturbed ones."""
         gamma = cfg.gamma1.shift(d * e1)
         shifted = base_flow.shift(d * e1)
         runs = [(base_flow, base_flow, gamma, sim, nodes),
@@ -578,30 +680,35 @@ def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
         laws = simulate_many(cfg.model, runs)
         if law_base is None:
             law_base = laws.pop(0)
-        for name in STABILITY_DRIVERS:  # each law is released once read
-            responses[name].append(_sup_wk(law_base, laws.pop(0), k))
-        driver_vals["initial"].append(metrics.wasserstein(cfg.gamma1, gamma, k).value)
-        vals = metrics.node_distances(base_flow, shifted,
-                                      lambda a, b: metrics.transport(a, b, k, eta) ** 2)
-        driver_vals["diffusion_flow"].append(
-            math.sqrt(metrics.segment_integral(nodes, vals, t0, t1)))
-        vals = metrics.node_distances(base_flow, shifted, lambda a, b: (
+        # Each law is released once read.
+        responses = [_sup_wk(law_base, laws.pop(0), k) for _ in STABILITY_DRIVERS]
+        diffusion = metrics.node_distances(base_flow, shifted,
+                                           lambda a, b: metrics.transport(a, b, k, eta) ** 2)
+        drift = metrics.node_distances(base_flow, shifted, lambda a, b: (
             metrics.wasserstein(a, b, k).value + shared_grid_tv(a, b, k)))
-        driver_vals["drift_flow"].append(metrics.segment_integral(nodes, vals, t0, t1))
+        drivers = [metrics.wasserstein(cfg.gamma1, gamma, k).value,
+                   math.sqrt(metrics.segment_integral(nodes, diffusion, t0, t1)),
+                   metrics.segment_integral(nodes, drift, t0, t1)]
+        return law_base, list(zip(responses, drivers))
+
+    law_base, first = delta_rows(deltas[0])
+    mid = (len(deltas) + 1) // 2
+    with _forked(lambda: [delta_rows(d, law_base)[1] for d in deltas[mid:]]) as rest:
+        rows = [first] + [delta_rows(d, law_base)[1] for d in deltas[1:mid]]
+        rows += rest()
 
     assertions = []
     series = []
     findings = {}
-    for name in STABILITY_DRIVERS:
-        slope, _ = fit_loglog(deltas, responses[name], drop_ends=False)
+    for j, name in enumerate(STABILITY_DRIVERS):
+        slope, _ = fit_loglog(deltas, [r[j][0] for r in rows], drop_ends=False)
         assertions.append(Assertion(
             f"{name}_response_linear", abs(slope - 1.0) <= 0.2, slope,
             "log-log slope of sup_t W_k against the perturbation size within 1 +- 0.2"))
         findings[f"{name}_slope"] = slope
         series.append(Series(
             f"stability_{name}", ("delta", "response", "driver"),
-            tuple((float(d), float(r), float(v))
-                  for d, r, v in zip(deltas, responses[name], driver_vals[name])),
+            tuple((d, float(r[j][0]), float(r[j][1])) for d, r in zip(deltas, rows)),
             logx=True, logy=True))
     return _report(cfg, assertions, series, **findings)
 
@@ -612,24 +719,31 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
     cells = SMOKE_CELLS if cfg.smoke else 1024
     n_mc = SMOKE_MC_PARTICLES if cfg.smoke else 100_000
     tv_tol = DESIGN["duhamel"]["tv_tol"]
-    x0 = cfg.gamma1.points[0]
+    x0 = float(cfg.gamma1.points[0, 0])
     t0 = cfg.sim.t0
 
     flows = _law_flow(cfg, cfg.gamma1, replace(
         cfg.sim, n_particles=min(cfg.sim.n_particles, FLOW_PARTICLES)))
 
-    grids = [solve_density(cfg.model, flows, flows, x0, t0, hz, cells=cells) for hz in horizons]
-    # One stack: the horizons read one noise block per step.
-    mcs = simulate_many(cfg.model, [
-        (flows, flows, cfg.gamma1,
-         replace(cfg.sim, n_particles=n_mc, t1=hz, seed=cfg.sim.seed + 17), [hz])
-        for hz in horizons])
+    def histograms():
+        """Monte Carlo counts on each horizon's solver cells."""
+        # One stack: the horizons read one noise block per step.
+        mcs = simulate_many(cfg.model, [
+            (flows, flows, cfg.gamma1,
+             replace(cfg.sim, n_particles=n_mc, t1=hz, seed=cfg.sim.seed + 17), [hz])
+            for hz in horizons])
+        return [np.histogram(mc.measures[-1].points[:, 0],
+                             bins=density_grid(cfg.model, x0, t0, hz, cells).edges()[0])[0]
+                for hz, mc in zip(horizons, mcs)]
+
+    # The child runs the Monte Carlo stack while this process solves.
+    with _forked(histograms) as child:
+        grids = [solve_density(cfg.model, flows, flows, x0, t0, hz, cells=cells)
+                 for hz in horizons]
+        hists = child()
     assertions = []
     rows = []
-    for hz, grid, mc in zip(horizons, grids, mcs):
-        sample = mc.measures[-1].points[:, 0]
-        edges = grid.edges()
-        hist, _ = np.histogram(sample, bins=edges)
+    for hz, grid, hist in zip(horizons, grids, hists):
         mass_mc = hist / n_mc
         mass_solver = grid.final_density() * grid.h
         solver_bins, mc_bins = (m.reshape(COMPARISON_BINS, -1).sum(axis=1)

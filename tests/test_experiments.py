@@ -9,7 +9,7 @@ import pytest
 
 from mvsde import cli, experiments, metrics, sde_engine
 from mvsde.coefficients import Const, Model
-from mvsde.errors import ConfigError, ConvergenceError, DomainError, NumericsError
+from mvsde.errors import AuditError, ConfigError, ConvergenceError, DomainError, NumericsError
 from mvsde.experiments import (
     ExperimentConfig,
     config_to_json,
@@ -631,6 +631,13 @@ def _recording(monkeypatch, name, calls, module=experiments):
     monkeypatch.setattr(module, name, record)
 
 
+@pytest.fixture
+def inline(monkeypatch):
+    """Every half of a runner in this process: a recorder never sees a forked child's calls."""
+    monkeypatch.setattr(experiments, "_spare_core", lambda: False)
+
+
+@pytest.mark.usefixtures("inline")
 def test_regularity_runs_the_sim_it_echoes(tmp_path, monkeypatch):
     # A t1 past the last time point used to be echoed in summary.json and
     # then replaced by t1 = times[-1].
@@ -646,6 +653,7 @@ def test_regularity_runs_the_sim_it_echoes(tmp_path, monkeypatch):
     assert [run[3] for args, _ in sims for run in args[1]] == [cfg.sim, cfg.sim]
 
 
+@pytest.mark.usefixtures("inline")
 @pytest.mark.parametrize("gamma2", [None, {"type": "dirac", "point": [0.05]}])
 def test_regularity_solves_a_model_that_reads_the_measure(tmp_path, monkeypatch, gamma2):
     # Falsifier of the measure-free rule below: arctan's drift reads the
@@ -669,6 +677,7 @@ def _tree(outdir):
             for p in sorted(outdir.rglob("*")) if p.is_file()}
 
 
+@pytest.mark.usefixtures("inline")
 @pytest.mark.parametrize("name", ["regularity_brownian", "gradient_brownian"])
 def test_a_measure_free_model_runs_under_its_initial_law(tmp_path, monkeypatch, name):
     # No coefficient of brownian reads the measure, so no simulation reads
@@ -697,13 +706,14 @@ def _no_diffusion(monkeypatch):
 
 
 def _drift_on_one_side(monkeypatch):
-    # The second law moves at unit speed, the first does not.
+    # The law from the second initial (off the origin) moves at unit speed,
+    # the first does not.
     simulate = experiments.simulate_many
 
     def drifting(model, runs):
-        law1, law2, *rest = simulate(model, runs)
-        moved = tuple(m.shift([t]) for t, m in zip(law2.times, law2.measures))
-        return [law1, Flow(law2.times, moved), *rest]
+        return [Flow(law.times, tuple(m.shift([t]) for t, m in zip(law.times, law.measures)))
+                if run[2].points.any() else law
+                for run, law in zip(runs, simulate(model, runs))]
 
     monkeypatch.setattr(experiments, "simulate_many", drifting)
 
@@ -742,6 +752,7 @@ def test_duhamel_runs_a_measure_free_model_under_its_initial_law(tmp_path, monke
     assert report.metadata["mean_field"] is False
 
 
+@pytest.mark.usefixtures("inline")
 def test_duhamel_starts_at_t0(tmp_path, monkeypatch):
     # A t0 above 0 used to be echoed and then replaced by 0.
     raw = json.loads((CONFIGS / "duhamel_arctan.json").read_text())
@@ -793,6 +804,7 @@ def test_stacked_stability_has_the_per_run_loop_bits(seed):
     assert json.dumps(got.metadata, sort_keys=True) == json.dumps(want.metadata, sort_keys=True)
 
 
+@pytest.mark.usefixtures("inline")
 def test_stability_draws_the_noise_once_per_delta(monkeypatch):
     # The solve simulates through fixed_point's own binding, uncounted here.
     cfg = parse_config(CONFIGS / "stability_mixed.json", smoke=True)
@@ -805,3 +817,120 @@ def test_stability_draws_the_noise_once_per_delta(monkeypatch):
     # One (seed, particle count) per stack: its runs read one noise stream.
     assert all({(run[3].seed, run[3].n_particles) for run in args[1]} == {(cfg.sim.seed, 1000)}
                for args, _ in stacks)
+
+
+# ---------------------------------------------------------------------------
+# A runner's second half in a forked child
+
+_SPLIT = ["regularity_arctan", "duhamel_arctan", "stability_mixed", "solve_arctan"]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The fork path, forced on one core too; lists the children started."""
+    started, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments, "_spare_core", lambda: True)
+    monkeypatch.setattr(os, "fork", counting)
+    return started
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", _SPLIT)
+def test_the_forked_and_inline_paths_write_one_tree(tmp_path, monkeypatch, forks, name):
+    config = CONFIGS / f"{name}.json"
+    kind = json.loads(config.read_text())["kind"]
+
+    def run(out):
+        assert cli.main([kind, "--config", str(config), "--out", str(out), "--smoke"]) == 0
+        _no_child_left()
+        return _tree(out)
+
+    forked = run(tmp_path / "forked")
+    assert len(forks) == 1
+    monkeypatch.setattr(experiments, "_spare_core", lambda: False)
+    assert run(tmp_path / "inline") == forked
+    assert len(forks) == 1
+
+
+def _failing_in_parent(monkeypatch, owner, name, after):
+    """``owner.name`` raises in this process from its call ``after + 1`` on."""
+    parent, real, calls = os.getpid(), getattr(owner, name), []
+
+    def failing(*args, **kwargs):
+        if os.getpid() == parent:
+            calls.append(args)
+            if len(calls) > after:
+                raise NumericsError("fault injected in the parent's half")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+@pytest.mark.parametrize("name, owner, attribute, after", [
+    ("regularity_arctan", experiments, "simulate_many", 0),  # the first law's run
+    ("duhamel_arctan", experiments, "solve_density", 0),
+    ("stability_mixed", experiments, "simulate_many", 1),  # the second delta's stack
+    ("solve_arctan", Measure, "to_csv", 0),
+])
+def test_a_fault_in_the_parents_half_leaves_no_child(tmp_path, monkeypatch, forks, name, owner,
+                                                     attribute, after):
+    cfg = parse_config(CONFIGS / f"{name}.json", smoke=True)
+    _failing_in_parent(monkeypatch, owner, attribute, after)
+    with pytest.raises(NumericsError, match="fault injected"):
+        run_experiment(cfg, outdir=tmp_path / "out")
+    assert len(forks) == 1
+    _no_child_left()
+
+
+_CHILD_ERRORS = [ConvergenceError("no contraction up to lambda=1", history=[0.3, 0.4]),
+                 AuditError("model violates its declared K: witness x=0.5")]
+
+
+@pytest.mark.parametrize("error", [*_CHILD_ERRORS, ConfigError("must be > 0", "/sim/dt")],
+                         ids=type)
+def test_an_error_in_the_child_arrives_whole(forks, error):
+    def fail():
+        raise error
+
+    with experiments._forked(fail) as child:
+        with pytest.raises(type(error)) as got:
+            child()
+    assert len(forks) == 1
+    _no_child_left()
+    assert got.value is not error  # it crossed the pipe
+    assert (str(got.value), vars(got.value)) == (str(error), vars(error))
+
+
+@pytest.mark.parametrize("error", _CHILD_ERRORS, ids=type)
+def test_the_cli_reports_an_error_in_the_child_as_inline(tmp_path, monkeypatch, capsys, forks,
+                                                          error):
+    # The regularity child solves the law flow of the second initial, at 0.1.
+    solve = experiments.solve_mvsde
+
+    def failing(model, gamma, sim, *args, **kwargs):
+        if gamma.points[0, 0] == 0.1:
+            raise error
+        return solve(model, gamma, sim, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_mvsde", failing)
+    config = str(CONFIGS / "regularity_arctan.json")
+    results = []
+    for spare in (True, False):
+        monkeypatch.setattr(experiments, "_spare_core", lambda spare=spare: spare)
+        rc = cli.main(["regularity", "--config", config, "--out", str(tmp_path / str(spare)),
+                       "--smoke"])
+        results.append((rc, capsys.readouterr().err))
+        _no_child_left()
+    assert len(forks) == 1
+    assert results == [(1, f"error: {error}\n")] * 2
