@@ -2,17 +2,22 @@
 
 Usage::
 
-    python3 scripts/bench.py > BENCH_<n>.json
+    python3 scripts/bench.py > /tmp/bench.json && mv /tmp/bench.json BENCH_<n>.json
+
+(written outside the checkout first, so that the file being written does
+not make the recorded tree unclean).
 
 Each ``configs/*.json`` runs through the CLI ``REPEATS`` times at full scale
 and ``REPEATS`` times with ``--smoke``, each run in a fresh interpreter, the
 repeats taken in rounds over all configs so that a drift in the host's speed
 spreads over every config alike.  The tier-1 suite then runs once.  The
 object records the median and every sample of each config's wall, the
-suite's wall and its last line, and the environment: Python, numpy, scipy,
-cores, CPU model, and numpy's SIMD features and OpenBLAS core as CI prints
-them.  Run outputs and bytecode go to a temporary directory that is removed
-afterwards; progress goes to stderr.  A run that exits non-zero is recorded
+suite's wall and its last line, the commit measured (``git rev-parse HEAD``,
+and whether ``git status --porcelain`` printed nothing), and the
+environment: Python, numpy, scipy, cores, CPU model, and numpy's SIMD
+features and OpenBLAS core as CI prints them.  Run outputs and bytecode go
+to a temporary directory that is removed afterwards; progress goes to
+stderr.  A run that exits non-zero is recorded
 with its exit code, not retried.
 """
 
@@ -72,6 +77,14 @@ def _environment() -> dict:
     }
 
 
+def _commit() -> dict:
+    """The checkout's HEAD, and whether its working tree matches it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=REPO, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True).stdout.strip()
+    return {"head": git("rev-parse", "HEAD"), "clean": git("status", "--porcelain") == ""}
+
+
 def _timed(cmd, env) -> tuple:
     """(wall seconds, exit code, stdout) of one subprocess run in the checkout."""
     start = time.perf_counter()
@@ -86,6 +99,7 @@ def _summary(samples, codes) -> dict:
 
 
 def main() -> int:
+    commit = _commit()  # before any run: the tree that was measured
     configs = sorted(glob.glob(os.path.join(REPO, "configs", "*.json")))
     modes = (("full", []), ("smoke", ["--smoke"]))
     walls = {(c, m): [] for c in configs for m, _ in modes}
@@ -110,6 +124,7 @@ def main() -> int:
         lines = stdout.strip().splitlines()
         print(f"tier-1 {wall:.1f} s exit {code}", file=sys.stderr, flush=True)
     result = {
+        "commit": commit,
         "environment": _environment(),
         "repeats": REPEATS,
         "configs": {

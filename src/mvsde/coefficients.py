@@ -339,6 +339,10 @@ class Model:
     def drift_measure_free(self) -> bool:
         return not any(e.uses_measure() for e in self.drift)
 
+    @property
+    def measure_free(self) -> bool:
+        return self.drift_measure_free and self.sigma_measure_free
+
     # Parsing ---------------------------------------------------------------
 
     @classmethod

@@ -21,7 +21,6 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -390,7 +389,7 @@ def _sup_wk(flow1: Flow, flow2: Flow, k: float) -> float:
 def _law_flow(cfg: ExperimentConfig, gamma: Measure, sim: SimConfig) -> Flow:
     """The flow a run from ``gamma`` steps under: the solved fixed point, or,
     when no coefficient reads the measure, the initial law held constant."""
-    if cfg.model.drift_measure_free and cfg.model.sigma_measure_free:
+    if cfg.model.measure_free:
         return Flow.constant(gamma, [sim.t0])
     return solve_mvsde(cfg.model, gamma, sim).solution
 
@@ -398,8 +397,7 @@ def _law_flow(cfg: ExperimentConfig, gamma: Measure, sim: SimConfig) -> Flow:
 def _law_run(cfg: ExperimentConfig, gamma: Measure) -> Flow:
     """The law at ``cfg.times`` of a run from ``gamma`` under its own law flow."""
     flow = _law_flow(cfg, gamma, cfg.sim)
-    [law] = simulate_many(cfg.model, [(flow, flow, gamma, cfg.sim, cfg.times)])
-    return law
+    return simulate_many(cfg.model, [(flow, flow, gamma, cfg.sim, cfg.times)])[0]
 
 
 def _report(cfg: ExperimentConfig, assertions, series=(), **findings) -> ExperimentReport:
@@ -423,24 +421,19 @@ def _spare_core() -> bool:
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
-@contextmanager
-def _forked(fn):
-    """Compute ``fn()`` in a forked child while the block runs; yields a
-    function that waits for the child and returns its result, or raises its
-    exception.
+def _in_parallel(here, there):
+    """``(here(), there())``, computing ``there()`` in a forked child while
+    this process computes ``here()``.
 
     Under common random numbers each half of a runner is a pure function of
-    its inputs, so the child computes the bits ``fn()`` computes in-process.
-    Without a spare core (:func:`_spare_core`) the yielded function is
-    ``fn`` itself, called where the result is needed.  The result crosses a
-    pipe pickled, so ``fn`` should return floats, counts or one recorded
-    law, not a solved flow or a Monte Carlo sample.  The child is reaped
-    before the block exits; if the block raises before waiting, the child
-    is killed first.
+    its inputs, so the child computes the bits computed in-process.  Without
+    a spare core (:func:`_spare_core`) both run here, ``here`` first.  The
+    result crosses a pipe pickled: ``there`` should return floats, counts or
+    one recorded law, not a solved flow or a Monte Carlo sample.  The child
+    is reaped before this returns, and killed first if ``here`` raises.
     """
     if not _spare_core():
-        yield fn
-        return
+        return here(), there()
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: it never returns into the caller's code
@@ -448,7 +441,7 @@ def _forked(fn):
         try:
             os.close(read_fd)
             try:
-                payload = pickle.dumps((True, fn()), pickle.HIGHEST_PROTOCOL)
+                payload = pickle.dumps((True, there()), pickle.HIGHEST_PROTOCOL)
             except BaseException as exc:  # sent to the parent, which re-raises it
                 payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
             with os.fdopen(write_fd, "wb") as fh:
@@ -457,34 +450,27 @@ def _forked(fn):
         finally:
             os._exit(status)  # no stdio flush, no atexit hooks
     os.close(write_fd)
-    reaped = False
-
-    def wait():
-        nonlocal reaped
-        result = None
-        try:
-            with os.fdopen(read_fd, "rb") as fh:
-                result = pickle.load(fh)
-        except (EOFError, pickle.UnpicklingError):
-            pass  # reported below with the child's wait status
-        finally:
-            _, status = os.waitpid(pid, 0)
-            reaped = True
-        if result is None:
-            raise ChildProcessError(f"forked child {pid} ended with wait status {status} "
-                                    "and no result")
-        ok, value = result
-        if not ok:
-            raise value
-        return value
-
     try:
-        yield wait
+        mine = here()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(read_fd)
+        raise
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            result = pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError):
+        result = None  # reported below with the child's wait status
     finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+    if result is None:
+        raise ChildProcessError(f"forked child {pid} ended with wait status {status} "
+                                "and no result")
+    ok, value = result
+    if not ok:
+        raise value
+    return mine, value
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +527,7 @@ def run_solve(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
                 thin.to_csv(os.path.join(laws_dir, f"node_{i:03d}_t{t:.6f}.csv"))
 
         # The child writes every other law.
-        with _forked(lambda: emit(nodes[1::2])) as child:
-            emit(nodes[::2])
-            child()
+        _in_parallel(lambda: emit(nodes[::2]), lambda: emit(nodes[1::2]))
     return _report(cfg, assertions, series, solve=report.to_json())
 
 
@@ -555,19 +539,18 @@ def run_regularity(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     sim = cfg.sim
 
     w0 = metrics.wasserstein(gamma1, gamma2, k).value
-    if w0 > 0.0:
+    if w0 > 0.0 and not cfg.model.measure_free:
         # Each law is its own solve and run; the child computes the second.
-        with _forked(lambda: _law_run(cfg, gamma2)) as second:
-            law1 = _law_run(cfg, gamma1)
-            law2 = second()
+        law1, law2 = _in_parallel(lambda: _law_run(cfg, gamma1), lambda: _law_run(cfg, gamma2))
     else:
-        # Identical initials: a run on the next seed measures the noise floor.
+        # One stack; identical initials add a noise-floor run on the next seed.
         flow_mu1 = _law_flow(cfg, gamma1, sim)
         flow_mu2 = flow_mu1 if gamma2 is gamma1 else _law_flow(cfg, gamma2, sim)
-        law1, law2, law_b = simulate_many(cfg.model, [
-            (flow_mu1, flow_mu1, gamma1, sim, cfg.times),
-            (flow_mu2, flow_mu2, gamma2, sim, cfg.times),
-            (flow_mu1, flow_mu1, gamma1, replace(sim, seed=sim.seed + 1), cfg.times)])
+        runs = [(flow_mu1, flow_mu1, gamma1, sim, cfg.times),
+                (flow_mu2, flow_mu2, gamma2, sim, cfg.times)]
+        if w0 == 0.0:
+            runs.append((flow_mu1, flow_mu1, gamma1, replace(sim, seed=sim.seed + 1), cfg.times))
+        law1, law2, *floor_run = simulate_many(cfg.model, runs)
 
     tvs = np.array(metrics.node_distances(law1, law2, lambda a, b: shared_grid_tv(a, b, 0.0)))
     wks = np.array(metrics.node_distances(law1, law2,
@@ -578,7 +561,7 @@ def run_regularity(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     assertions = []
     findings = {"w0": w0}
     if w0 == 0.0:
-        floor = max(shared_grid_tv(law1.measures[-1], law_b.measures[-1], 0.0), 1e-12)
+        floor = max(shared_grid_tv(law1.measures[-1], floor_run[0].measures[-1], 0.0), 1e-12)
         assertions.append(Assertion(
             "distances_at_noise_floor", bool(np.all(tvs <= 3.0 * floor)),
             float(tvs.max()), f"3x decoupled floor {3 * floor:.3g}; slope fit skipped"))
@@ -655,7 +638,7 @@ def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
     flow) step in one stack on one noise stream, the first delta's with the
     unperturbed run beside them; the diffusion and drift drivers read one
     shifted flow.  After the first delta, a forked child computes the last
-    half of the others (see :func:`_forked`).
+    half of the others (see :func:`_in_parallel`).
     """
     k = cfg.model.constants.k
     eta = cfg.model.constants.eta
@@ -693,9 +676,9 @@ def run_stability(cfg: ExperimentConfig, outdir=None) -> ExperimentReport:
 
     law_base, first = delta_rows(deltas[0])
     mid = (len(deltas) + 1) // 2
-    with _forked(lambda: [delta_rows(d, law_base)[1] for d in deltas[mid:]]) as rest:
-        rows = [first] + [delta_rows(d, law_base)[1] for d in deltas[1:mid]]
-        rows += rest()
+    head, tail = _in_parallel(lambda: [delta_rows(d, law_base)[1] for d in deltas[1:mid]],
+                              lambda: [delta_rows(d, law_base)[1] for d in deltas[mid:]])
+    rows = [first] + head + tail
 
     assertions = []
     series = []
@@ -737,10 +720,9 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
                 for hz, mc in zip(horizons, mcs)]
 
     # The child runs the Monte Carlo stack while this process solves.
-    with _forked(histograms) as child:
-        grids = [solve_density(cfg.model, flows, flows, x0, t0, hz, cells=cells)
-                 for hz in horizons]
-        hists = child()
+    grids, hists = _in_parallel(
+        lambda: [solve_density(cfg.model, flows, flows, x0, t0, hz, cells=cells)
+                 for hz in horizons], histograms)
     assertions = []
     rows = []
     for hz, grid, hist in zip(horizons, grids, hists):
@@ -761,8 +743,7 @@ def run_duhamel_validation(cfg: ExperimentConfig, outdir=None) -> ExperimentRepo
             grid.residuals_csv(os.path.join(outdir, f"residuals_t{hz:.6f}.csv"))
     series = [Series("duhamel", ("horizon", "tv", "iterations", "last_residual",
                                  "max_mass_error"), tuple(rows))]
-    mean_field = not (cfg.model.drift_measure_free and cfg.model.sigma_measure_free)
-    return _report(cfg, assertions, series, mean_field=mean_field)
+    return _report(cfg, assertions, series, mean_field=not cfg.model.measure_free)
 
 
 RUNNERS = {

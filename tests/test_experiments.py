@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -903,13 +905,57 @@ def test_an_error_in_the_child_arrives_whole(forks, error):
     def fail():
         raise error
 
-    with experiments._forked(fail) as child:
-        with pytest.raises(type(error)) as got:
-            child()
+    with pytest.raises(type(error)) as got:
+        experiments._in_parallel(lambda: None, fail)
     assert len(forks) == 1
     _no_child_left()
     assert got.value is not error  # it crossed the pipe
     assert (str(got.value), vars(got.value)) == (str(error), vars(error))
+
+
+def test_a_fault_in_here_kills_a_child_blocked_in_its_write(forks):
+    # 1 MiB overfills the pipe's buffer: unread, the child waits in its write.
+    def fail():
+        time.sleep(0.1)  # time for the child to reach its write
+        raise NumericsError("fault injected in the parent's half")
+
+    def hung(signum, frame):
+        raise TimeoutError("the parent waits on a child blocked in its write")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(NumericsError, match="fault injected"):
+            experiments._in_parallel(fail, lambda: bytes(1 << 20))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_without_a_spare_core_no_child_starts_and_here_runs_first(monkeypatch, forks):
+    monkeypatch.setattr(experiments, "_spare_core", lambda: False)
+    order = []
+    assert experiments._in_parallel(lambda: order.append("here") or 1,
+                                    lambda: order.append("there") or 2) == (1, 2)
+    assert order == ["here", "there"]
+    assert forks == []
+
+
+def test_a_measure_free_regularity_pair_starts_no_child(tmp_path, monkeypatch, forks):
+    # brownian reads no measure, so its two runs share one stack; arctan's
+    # are two solves, one of them in the child.
+    stacks = []
+    _recording(monkeypatch, "simulate_many", stacks)
+    for name, children in (("regularity_brownian", 0), ("regularity_arctan", 1)):
+        config = str(CONFIGS / f"{name}.json")
+        assert cli.main(["regularity", "--config", config, "--out", str(tmp_path / name),
+                         "--smoke"]) == 0
+        _no_child_left()
+        assert len(forks) == children
+        if not children:
+            assert [len(args[1]) for args, _ in stacks] == [2]
 
 
 @pytest.mark.parametrize("error", _CHILD_ERRORS, ids=type)
